@@ -1,20 +1,26 @@
-"""C-RAN schedulers: partitioned, global (FIFO/EDF), and RT-OPEX.
+"""C-RAN schedulers: the paper's partitioned, global and RT-OPEX
+policies, the PRAN and CloudIQ baselines, and the delay-aware scheduler.
 
-All three schedulers consume the same precomputed workload (so
+All six schedulers consume the same precomputed workload (so
 comparisons are paired) and produce :class:`~repro.sched.base.SchedulerResult`
-records.  The module map follows the paper's sec. 3:
+records built by :meth:`~repro.sched.base.SubframeRecord.for_job`.  The
+module map follows the paper's sec. 3:
 
 * :mod:`repro.sched.partitioned` — offline partitioned schedule,
   ``ceil(Tmax)`` cores per basestation, round-robin subframe placement;
-* :mod:`repro.sched.global_` — shared ring-buffer queue with an EDF
-  dispatcher and per-core cache-affinity penalties;
+* :mod:`repro.sched.global_` — the shared ring-buffer queue dispatch
+  loop (per-dispatch overhead, per-core cache-affinity penalties) and
+  the global scheduler's EDF heap discipline;
 * :mod:`repro.sched.migration` — Algorithm 1, the greedy migration
   planner (pure function, property-tested);
 * :mod:`repro.sched.rtopex` — RT-OPEX: partitioned base schedule plus
   opportunistic migration of FFT/decode subtasks into idle-core gaps,
   with the recovery path for preempted migrations;
-* :mod:`repro.sched.das` — delay-aware shared-queue baseline for the
-  mixed-service scenario (budget-criticality × channel-quality order);
+* :mod:`repro.sched.pran`, :mod:`repro.sched.cloudiq` — the PRAN and
+  CloudIQ baselines;
+* :mod:`repro.sched.das` — the delay-aware queue discipline for the
+  shared-queue loop (budget-criticality × channel-quality order), the
+  mixed-service baseline;
 * :mod:`repro.sched.runner` — workload construction and the
   one-call-per-experiment entry points.
 """

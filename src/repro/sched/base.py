@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -186,6 +186,24 @@ class SubframeRecord:
     #: the result-CSV schema (like per-batch migration events), so CSV
     #: round-trips fall back to the default class.
     service: str = "embb"
+
+    @classmethod
+    def for_job(cls, job: SubframeJob, **fields: Any) -> "SubframeRecord":
+        """A record for ``job``: its identity, grant, timing and decode
+        outcome, plus the scheduling outcome given in ``fields``."""
+        sf = job.subframe
+        return cls(
+            bs_id=sf.bs_id,
+            index=sf.index,
+            mcs=sf.grant.mcs,
+            load=job.load,
+            arrival_us=job.arrival_us,
+            deadline_us=job.deadline_us,
+            iterations=job.work.iterations,
+            crc_pass=job.work.crc_pass,
+            service=job.service,
+            **fields,
+        )
 
     @property
     def processing_time_us(self) -> float:

@@ -71,21 +71,13 @@ class CloudIqScheduler(PartitionedScheduler):
                     job.arrival_us, core, True, sf.bs_id, sf.index,
                     drop_stage="admission", service=job.service,
                 )
-            record = SubframeRecord(
-                bs_id=sf.bs_id,
-                index=sf.index,
-                mcs=sf.grant.mcs,
-                load=job.load,
-                arrival_us=job.arrival_us,
-                deadline_us=job.deadline_us,
+            record = SubframeRecord.for_job(
+                job,
                 start_us=job.arrival_us,
                 finish_us=job.arrival_us,
                 missed=True,
                 dropped=True,
                 drop_stage="admission",
-                iterations=job.work.iterations,
-                crc_pass=job.work.crc_pass,
-                service=job.service,
             )
             result.records.append(record)
         result.records.sort(key=lambda r: (r.index, r.bs_id))

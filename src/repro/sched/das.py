@@ -24,61 +24,29 @@ ordering degenerates to EDF-with-a-throughput-tiebreak; the scheduler
 exists for the mixed case, where per-class budgets make EDF order and
 urgency order diverge.
 
-Runtime overheads mirror the global scheduler exactly — per-dispatch
+DAS runs the global scheduler's own dispatch loop
+(:class:`~repro.sched.global_.SharedQueueScheduler`) — per-dispatch
 overhead, arbitrary idle-core wake-up (cache-affinity penalty), a
-capacity-bounded ring buffer, and drop-at-dispatch for frames whose
-optimistic finish already overshoots — so DAS-vs-global deltas isolate
-the *ordering* policy.  Fully traced: arrivals, busy spans, and
-deadline verdicts (with class tags) flow through the same
-:class:`~repro.obs.trace.RunTrace` surface the sanitizer validates.
+capacity-bounded ring buffer, drop-at-dispatch for frames whose
+optimistic finish already overshoots, and the same trace emits — and
+supplies only the queue discipline, so DAS-vs-global deltas isolate the
+*ordering* policy.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 from repro.lte.mcs import max_mcs, throughput_mbps
-from repro.obs.trace import RunTrace
-from repro.sched.base import CRanConfig, SchedulerResult, SubframeJob, SubframeRecord
-from repro.sched.global_ import DEFAULT_DISPATCH_OVERHEAD_US
-from repro.sim.engine import Simulator
-from repro.timing.cache import CacheAffinityModel
+from repro.sched.base import SubframeJob
+from repro.sched.global_ import QueueEntry, SharedQueueScheduler
 
 
-class _Pending:
-    """A queued job plus its record and FIFO sequence number."""
-
-    __slots__ = ("job", "record", "seq")
-
-    def __init__(self, job: SubframeJob, record: SubframeRecord, seq: int):
-        self.job = job
-        self.record = record
-        self.seq = seq
-
-
-class DelayAwareScheduler:
+class DelayAwareScheduler(SharedQueueScheduler):
     """Shared-queue scheduler ordered by budget criticality × channel."""
 
     name = "das"
-
-    def __init__(
-        self,
-        config: CRanConfig,
-        rng: Optional[np.random.Generator] = None,
-        cache_model: Optional[CacheAffinityModel] = None,
-        dispatch_overhead_us: float = DEFAULT_DISPATCH_OVERHEAD_US,
-        queue_capacity: int = 256,
-        trace: Optional[RunTrace] = None,
-    ):
-        self.config = config
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.cache = cache_model if cache_model is not None else CacheAffinityModel()
-        self.dispatch_overhead_us = dispatch_overhead_us
-        self.queue_capacity = queue_capacity
-        self.trace = trace
-        self._peak_throughput = throughput_mbps(max_mcs())
+    _peak_throughput = throughput_mbps(max_mcs())
 
     def _priority(self, job: SubframeJob, now: float) -> float:
         """M-LWDF-style urgency of dispatching ``job`` at ``now``."""
@@ -87,141 +55,24 @@ class DelayAwareScheduler:
         efficiency = throughput_mbps(job.subframe.grant.mcs) / self._peak_throughput
         return criticality * (1.0 + efficiency)
 
-    def run(self, jobs: Sequence[SubframeJob]) -> SchedulerResult:
-        sim = Simulator()
-        trace = self.trace
-        num_cores = self.config.total_cores
-        core_idle: List[bool] = [True] * num_cores
-        queue: List[_Pending] = []
-        records: List[SubframeRecord] = []
-        busy: Dict[int, float] = {}
-        seq_counter = [0]
-        self.cache.reset()
+    def push(self, queue: List[QueueEntry], entry: QueueEntry) -> None:
+        queue.append(entry)
 
-        def make_record(job: SubframeJob) -> SubframeRecord:
-            sf = job.subframe
-            return SubframeRecord(
-                bs_id=sf.bs_id,
-                index=sf.index,
-                mcs=sf.grant.mcs,
-                load=job.load,
-                arrival_us=job.arrival_us,
-                deadline_us=job.deadline_us,
-                iterations=job.work.iterations,
-                crc_pass=job.work.crc_pass,
-                service=job.service,
-            )
+    def pop_next(self, queue: List[QueueEntry], now: float) -> QueueEntry:
+        # Priorities depend on the current instant, so they are
+        # recomputed per dispatch over the pending set (the queue is
+        # capacity-bounded, keeping the scan O(capacity)).  Ties break
+        # deterministically: deadline, then identity.
+        def rank(i: int) -> Tuple[float, float, int, int]:
+            deadline_us, seq, job, _ = queue[i]
+            return (-self._priority(job, now), deadline_us, job.subframe.bs_id, seq)
 
-        def pop_most_urgent() -> _Pending:
-            # Priorities depend on the current instant, so they are
-            # recomputed per dispatch over the pending set (the queue is
-            # capacity-bounded, keeping the scan O(capacity)).  Ties
-            # break deterministically: deadline, then identity.
-            def rank(p: _Pending) -> Tuple[float, float, int, int]:
-                return (
-                    -self._priority(p.job, sim.now),
-                    p.job.deadline_us,
-                    p.job.subframe.bs_id,
-                    p.seq,
-                )
+        return queue.pop(min(range(len(queue)), key=rank))
 
-            best_i = 0
-            best_rank = rank(queue[0])
-            for i in range(1, len(queue)):
-                r = rank(queue[i])
-                if r < best_rank:
-                    best_i, best_rank = i, r
-            return queue.pop(best_i)
-
-        def drop(record: SubframeRecord, stage: str) -> None:
-            record.dropped = True
-            record.missed = True
-            record.drop_stage = stage
-            record.start_us = sim.now
-            record.finish_us = sim.now
-            if trace is not None:
-                trace.deadline(
-                    sim.now, -1, True, record.bs_id, record.index,
-                    drop_stage=stage, service=record.service,
-                )
-
-        def try_dispatch() -> None:
-            while queue:
-                idle = [c for c in range(num_cores) if core_idle[c]]
-                if not idle:
-                    return
-                # Same arbitrary-wake-up semantics as the global
-                # scheduler: the kernel picks which blocked worker gets
-                # the semaphore.
-                idle_core = int(idle[self.rng.integers(0, len(idle))])
-                entry = pop_most_urgent()
-                job, record = entry.job, entry.record
-                start = sim.now + self.dispatch_overhead_us
-                if start + job.optimistic_time_us > job.deadline_us:
-                    drop(record, "dispatch")
-                    continue
-                core_idle[idle_core] = False
-                record.core_id = idle_core
-                record.start_us = start
-                record.queue_delay_us = start - job.arrival_us
-                penalty = self.cache.penalty(
-                    idle_core, job.subframe.bs_id, job.subframe.index, self.rng
-                )
-                record.cache_penalty_us = penalty
-                finish = start + job.serial_time_us + penalty
-                if finish > job.deadline_us:
-                    record.missed = True
-                    finish = job.deadline_us  # terminated at the deadline
-                record.finish_us = finish
-                if finish > start:
-                    busy[idle_core] = busy.get(idle_core, 0.0) + (finish - start)
-                if trace is not None:
-                    trace.task(
-                        idle_core, "process", start, finish,
-                        record.bs_id, record.index,
-                        cache_penalty_us=penalty,
-                    )
-                    trace.deadline(
-                        finish, idle_core, record.missed,
-                        record.bs_id, record.index, service=record.service,
-                    )
-
-                def complete(core: int = idle_core) -> None:
-                    core_idle[core] = True
-                    try_dispatch()
-
-                sim.schedule(finish, complete)
-
-        def arrive(job: SubframeJob) -> None:
-            record = make_record(job)
-            records.append(record)
-            if trace is not None:
-                trace.arrival(job.arrival_us, -1, record.bs_id, record.index)
-            if len(queue) >= self.queue_capacity:
-                # Ring buffer full: overwrite the *least urgent* pending
-                # frame — the delay-aware twist on the global
-                # scheduler's overwrite-oldest.
-                victim_i = max(
-                    range(len(queue)),
-                    key=lambda i: (
-                        -self._priority(queue[i].job, sim.now),
-                        queue[i].seq,
-                    ),
-                )
-                victim = queue.pop(victim_i)
-                drop(victim.record, "queue-overflow")
-            seq_counter[0] += 1
-            queue.append(_Pending(job, record, seq_counter[0]))
-            # Like the global scheduler: dispatch after every
-            # same-instant arrival is queued so a burst is ordered by
-            # priority, not transport-thread wake-up order.
-            sim.schedule(sim.now, try_dispatch, priority=1)
-
-        for job in sorted(jobs, key=lambda j: (j.arrival_us, j.subframe.bs_id)):
-            sim.schedule(job.arrival_us, lambda j=job: arrive(j))
-        sim.run()
-        if trace is not None:
-            trace.meta["sim"] = sim.stats()
-        return SchedulerResult(
-            f"{self.name}-{num_cores}", self.config, records, core_busy_us=busy
+    def evict(self, queue: List[QueueEntry], now: float) -> QueueEntry:
+        # The least urgent frame goes; among equals, the newest.
+        victim_i = max(
+            range(len(queue)),
+            key=lambda i: (-self._priority(queue[i][2], now), queue[i][1]),
         )
+        return queue.pop(victim_i)

@@ -1,4 +1,4 @@
-"""Global scheduler (paper sec. 3.1.2).
+"""Global scheduler (paper sec. 3.1.2) and the shared-queue dispatch loop.
 
 A single shared ring-buffer queue holds incoming subframes from all
 basestations; a scheduling thread on its own core dispatches them to
@@ -6,6 +6,11 @@ idle processing cores in EDF order (equivalent to FIFO when all
 basestations share one transport delay, as the paper notes).  Each core
 processes at most one subframe, terminates at the deadline if it
 overruns, and returns to idle.
+
+The loop itself lives in :class:`SharedQueueScheduler`; a policy only
+supplies its *queue discipline* — push, pop-next and evict-on-overflow.
+:class:`GlobalScheduler` is the EDF heap; the delay-aware baseline
+(:mod:`repro.sched.das`) reuses the same loop with an urgency order.
 
 The paper's "surprising" global-scheduler behaviour comes from runtime
 overheads, which we model explicitly:
@@ -22,8 +27,7 @@ overheads, which we model explicitly:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,19 +39,15 @@ from repro.timing.cache import CacheAffinityModel
 #: Scheduling-thread cost per dispatch (semaphore signal + ring buffer).
 DEFAULT_DISPATCH_OVERHEAD_US = 12.0
 
-
-@dataclass(order=True)
-class _QueueEntry:
-    deadline_us: float
-    seq: int
-    job: SubframeJob = field(compare=False)
-    record: SubframeRecord = field(compare=False)
+#: A queued job: ``(deadline_us, seq, job, record)``.  ``seq`` is the
+#: arrival order and unique, so tuple comparison never reaches the job.
+QueueEntry = Tuple[float, int, SubframeJob, SubframeRecord]
 
 
-class GlobalScheduler:
-    """EDF/FIFO global scheduler over a shared queue."""
+class SharedQueueScheduler:
+    """One shared queue dispatched to idle cores; subclasses order it."""
 
-    name = "global"
+    name: str
 
     def __init__(
         self,
@@ -65,30 +65,45 @@ class GlobalScheduler:
         self.queue_capacity = queue_capacity
         self.trace = trace
 
+    # -- queue discipline ---------------------------------------------------
+
+    def push(self, queue: List[QueueEntry], entry: QueueEntry) -> None:
+        """Add a newly arrived entry to ``queue``."""
+        raise NotImplementedError
+
+    def pop_next(self, queue: List[QueueEntry], now: float) -> QueueEntry:
+        """Remove and return the entry to dispatch at ``now``."""
+        raise NotImplementedError
+
+    def evict(self, queue: List[QueueEntry], now: float) -> QueueEntry:
+        """Remove and return the entry a full ring buffer overwrites."""
+        raise NotImplementedError
+
+    # -- dispatch loop ------------------------------------------------------
+
     def run(self, jobs: Sequence[SubframeJob]) -> SchedulerResult:
         sim = Simulator()
         trace = self.trace
         num_cores = self.config.total_cores
         core_idle: List[bool] = [True] * num_cores
-        queue: List[_QueueEntry] = []
+        queue: List[QueueEntry] = []
         records: List[SubframeRecord] = []
         busy: Dict[int, float] = {}
         seq_counter = [0]
+        push, pop_next, evict = self.push, self.pop_next, self.evict
         self.cache.reset()
 
-        def make_record(job: SubframeJob) -> SubframeRecord:
-            sf = job.subframe
-            return SubframeRecord(
-                bs_id=sf.bs_id,
-                index=sf.index,
-                mcs=sf.grant.mcs,
-                load=job.load,
-                arrival_us=job.arrival_us,
-                deadline_us=job.deadline_us,
-                iterations=job.work.iterations,
-                crc_pass=job.work.crc_pass,
-                service=job.service,
-            )
+        def drop(record: SubframeRecord, stage: str) -> None:
+            record.dropped = True
+            record.missed = True
+            record.drop_stage = stage
+            record.start_us = sim.now
+            record.finish_us = sim.now
+            if trace is not None:
+                trace.deadline(
+                    sim.now, -1, True, record.bs_id, record.index,
+                    drop_stage=stage, service=record.service,
+                )
 
         def try_dispatch() -> None:
             while queue:
@@ -102,23 +117,12 @@ class GlobalScheduler:
                 # recreate per-BS affinity and hide the cache thrashing
                 # the paper observes.)
                 idle_core = int(idle[self.rng.integers(0, len(idle))])
-                entry = heapq.heappop(queue)
-                job, record = entry.job, entry.record
+                _, _, job, record = pop_next(queue, sim.now)
                 start = sim.now + self.dispatch_overhead_us
                 # A queued subframe whose deadline cannot possibly be met
                 # any more is dropped by the dispatcher.
                 if start + job.optimistic_time_us > job.deadline_us:
-                    record.dropped = True
-                    record.missed = True
-                    record.drop_stage = "dispatch"
-                    record.start_us = sim.now
-                    record.finish_us = sim.now
-                    if trace is not None:
-                        trace.deadline(
-                            sim.now, -1, True,
-                            record.bs_id, record.index, drop_stage="dispatch",
-                            service=record.service,
-                        )
+                    drop(record, "dispatch")
                     continue
                 core_idle[idle_core] = False
                 record.core_id = idle_core
@@ -153,37 +157,22 @@ class GlobalScheduler:
                 sim.schedule(finish, complete)
 
         def arrive(job: SubframeJob) -> None:
-            record = make_record(job)
+            record = SubframeRecord.for_job(job)
             records.append(record)
             if trace is not None:
                 trace.arrival(job.arrival_us, -1, record.bs_id, record.index)
             if len(queue) >= self.queue_capacity:
-                # Ring buffer full: the transport thread overwrites the
-                # oldest pending entry (it can never block, sec. 4.1).
-                oldest = heapq.heappop(queue)
-                oldest.record.dropped = True
-                oldest.record.missed = True
-                oldest.record.drop_stage = "queue-overflow"
-                oldest.record.start_us = sim.now
-                oldest.record.finish_us = sim.now
-                if trace is not None:
-                    trace.deadline(
-                        sim.now, -1, True,
-                        oldest.record.bs_id, oldest.record.index,
-                        drop_stage="queue-overflow",
-                        service=oldest.record.service,
-                    )
+                # Ring buffer full: the transport thread can never block
+                # (sec. 4.1), so it overwrites the entry the discipline
+                # evicts.
+                victim = evict(queue, sim.now)[3]
+                drop(victim, "queue-overflow")
             seq_counter[0] += 1
-            heapq.heappush(
-                queue,
-                _QueueEntry(
-                    deadline_us=job.deadline_us, seq=seq_counter[0], job=job, record=record
-                ),
-            )
+            push(queue, (job.deadline_us, seq_counter[0], job, record))
             # Dispatch runs after every same-instant arrival has been
-            # enqueued (priority 1 > arrivals' 0), so EDF orders a burst
-            # of simultaneous subframes by deadline rather than by the
-            # order the transport threads happened to signal.
+            # enqueued (priority 1 > arrivals' 0), so a burst of
+            # simultaneous subframes is dispatched in discipline order
+            # rather than the order the transport threads signalled.
             sim.schedule(sim.now, try_dispatch, priority=1)
 
         for job in sorted(jobs, key=lambda j: (j.arrival_us, j.subframe.bs_id)):
@@ -194,3 +183,24 @@ class GlobalScheduler:
         return SchedulerResult(
             f"{self.name}-{num_cores}", self.config, records, core_busy_us=busy
         )
+
+
+class GlobalScheduler(SharedQueueScheduler):
+    """EDF/FIFO global scheduler: the shared queue is a deadline heap.
+
+    Overflow evicts the heap head, the *earliest-deadline* entry.  That
+    is the oldest entry only while every job shares one transport delay
+    and one delay budget; with per-class budgets or transport jitter a
+    newer, tighter-budget frame can be evicted before an older one.
+    """
+
+    name = "global"
+
+    def push(self, queue: List[QueueEntry], entry: QueueEntry) -> None:
+        heapq.heappush(queue, entry)
+
+    def pop_next(self, queue: List[QueueEntry], now: float) -> QueueEntry:
+        return heapq.heappop(queue)
+
+    def evict(self, queue: List[QueueEntry], now: float) -> QueueEntry:
+        return heapq.heappop(queue)

@@ -56,18 +56,7 @@ class PartitionedScheduler:
         for job in sorted(jobs, key=lambda j: (j.arrival_us, j.subframe.bs_id)):
             sf = job.subframe
             core = assigned_core_for(job, config.cores_per_bs)
-            record = SubframeRecord(
-                bs_id=sf.bs_id,
-                index=sf.index,
-                mcs=sf.grant.mcs,
-                load=job.load,
-                arrival_us=job.arrival_us,
-                deadline_us=job.deadline_us,
-                core_id=core,
-                iterations=job.work.iterations,
-                crc_pass=job.work.crc_pass,
-                service=job.service,
-            )
+            record = SubframeRecord.for_job(job, core_id=core)
             # With ceil(Tmax) >= 2 cores per BS the core is always free by
             # construction (processing terminates at the 2 ms deadline,
             # before the next assigned arrival).  Under-provisioned

@@ -184,18 +184,8 @@ class PranScheduler:
         for job in batch:
             sf = job.subframe
             end = finish[sf.key()] + job.noise_us
-            record = SubframeRecord(
-                bs_id=sf.bs_id,
-                index=sf.index,
-                mcs=sf.grant.mcs,
-                load=job.load,
-                arrival_us=job.arrival_us,
-                deadline_us=job.deadline_us,
-                core_id=home[sf.key()],
-                start_us=arrival,
-                iterations=job.work.iterations,
-                crc_pass=job.work.crc_pass,
-                service=job.service,
+            record = SubframeRecord.for_job(
+                job, core_id=home[sf.key()], start_us=arrival
             )
             if end > job.deadline_us:
                 record.missed = True

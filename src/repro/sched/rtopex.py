@@ -495,18 +495,7 @@ class RtOpexScheduler:
             idx = arrival_cursor[me] = arrival_cursor[me] + 1
             arrivals = core_arrivals[me]
             core_arrival[me] = arrivals[idx] if idx < len(arrivals) else math.inf
-            record = SubframeRecord(
-                bs_id=sf.bs_id,
-                index=sf.index,
-                mcs=sf.grant.mcs,
-                load=job.load,
-                arrival_us=job.arrival_us,
-                deadline_us=job.deadline_us,
-                core_id=me,
-                iterations=job.work.iterations,
-                crc_pass=job.work.crc_pass,
-                service=job.service,
-            )
+            record = SubframeRecord.for_job(job, core_id=me)
             records.append(record)
             now = max(job.arrival_us, busy_until[me])
             record.queue_delay_us = now - job.arrival_us

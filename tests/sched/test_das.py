@@ -108,6 +108,32 @@ class TestBehaviour:
         assert {r.drop_stage for r in dropped} <= {"queue-overflow", "dispatch"}
         assert len(result.records) == 12
 
+    def test_queue_overflow_evicts_lowest_priority(self):
+        # Three same-instant arrivals into a 2-slot queue on one core.
+        # bs 1 has a 10 ms budget, so it is the least urgent of the two
+        # frames queued when bs 2 overflows the buffer: it is evicted,
+        # not the oldest (bs 0) and not the earliest deadline (bs 0).
+        base = [make_job(b, 0, 5, [1]) for b in range(3)]
+        relaxed = dataclasses.replace(
+            base[1], deadline_override_us=base[1].subframe.air_time_us + 10000.0
+        )
+        jobs = [base[0], relaxed, base[2]]
+        cfg = CRanConfig(transport_latency_us=500.0, num_cores=1)
+        sched = DelayAwareScheduler(
+            cfg, rng=np.random.default_rng(0), queue_capacity=2
+        )
+        now = base[0].arrival_us
+        queued = jobs[:2]
+        least_urgent = min(queued, key=lambda j: sched._priority(j, now))
+        assert least_urgent is relaxed
+        result = sched.run(jobs)
+        overflowed = [
+            (r.bs_id, r.index) for r in result.records
+            if r.drop_stage == "queue-overflow"
+        ]
+        assert overflowed == [(1, 0)]
+        assert not any(r.dropped for r in result.records if r.bs_id != 1)
+
 
 class TestSanitized:
     def test_full_sanitizer_profile_over_mixed_workload(

@@ -2,19 +2,22 @@
 
 These tests generate arbitrary (but valid) workloads and check the
 invariants every scheduler must uphold regardless of load pattern:
-conservation, causality, deadline enforcement, and RT-OPEX's
+conservation, causality, deadline enforcement, busy time within the
+horizon, one traced deadline verdict per job, and RT-OPEX's
 no-worse-than-baseline guarantee.
 """
 
+from collections import Counter
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sched import (
     CRanConfig,
-    GlobalScheduler,
     PartitionedScheduler,
-    PranScheduler,
     RtOpexScheduler,
+    run_scheduler,
 )
 
 from tests.helpers import make_job
@@ -34,6 +37,11 @@ job_specs = st.lists(
 
 rtts = st.sampled_from([400.0, 550.0, 700.0])
 
+#: Every ``run_scheduler`` policy; the shared-queue ones get a pool of
+#: 8 cores, the others the default per-basestation layout.
+POLICIES = ("partitioned", "global", "rt-opex", "pran", "cloudiq", "das")
+POOLED = ("global", "das")
+
 
 def build_jobs(specs, rtt):
     return [make_job(bs, idx, mcs, [l], rtt=rtt) for bs, idx, mcs, l in specs]
@@ -49,38 +57,29 @@ def check_invariants(result, jobs):
             assert r.finish_us <= r.deadline_us + 1e-6
         if not (r.missed or r.dropped):
             assert r.finish_us <= r.deadline_us + 1e-6
+    finishes = [r.finish_us for r in result.records if not np.isnan(r.finish_us)]
+    horizon = max(finishes, default=0.0)
+    for core, busy in result.core_busy_us.items():
+        assert busy <= horizon + 1e-6, (core, busy, horizon)
+    if result.trace_run is not None:
+        verdicts = Counter(
+            (e.bs_id, e.sf_index)
+            for e in result.trace_run.events
+            if e.kind == "deadline"
+        )
+        assert verdicts == Counter((r.bs_id, r.index) for r in result.records)
 
 
 class TestSchedulerFuzz:
-    @given(job_specs, rtts)
-    @settings(max_examples=60, deadline=None)
-    def test_partitioned_invariants(self, specs, rtt):
-        jobs = build_jobs(specs, rtt)
-        cfg = CRanConfig(transport_latency_us=rtt)
-        check_invariants(PartitionedScheduler(cfg).run(jobs), jobs)
-
-    @given(job_specs, rtts)
+    @pytest.mark.parametrize("policy", POLICIES)
+    @given(specs=job_specs, rtt=rtts)
     @settings(max_examples=40, deadline=None)
-    def test_global_invariants(self, specs, rtt):
+    def test_invariants(self, policy, specs, rtt):
         jobs = build_jobs(specs, rtt)
-        cfg = CRanConfig(transport_latency_us=rtt, num_cores=8)
-        result = GlobalScheduler(cfg, rng=np.random.default_rng(0)).run(jobs)
-        check_invariants(result, jobs)
-
-    @given(job_specs, rtts)
-    @settings(max_examples=40, deadline=None)
-    def test_rtopex_invariants(self, specs, rtt):
-        jobs = build_jobs(specs, rtt)
-        cfg = CRanConfig(transport_latency_us=rtt)
-        result = RtOpexScheduler(cfg, rng=np.random.default_rng(0)).run(jobs)
-        check_invariants(result, jobs)
-
-    @given(job_specs, rtts)
-    @settings(max_examples=30, deadline=None)
-    def test_pran_invariants(self, specs, rtt):
-        jobs = build_jobs(specs, rtt)
-        cfg = CRanConfig(transport_latency_us=rtt)
-        result = PranScheduler(cfg, rng=np.random.default_rng(0)).run(jobs)
+        cfg = CRanConfig(
+            transport_latency_us=rtt, num_cores=8 if policy in POOLED else 0
+        )
+        result = run_scheduler(policy, cfg, jobs, seed=0, capture_trace=True)
         check_invariants(result, jobs)
 
     @given(job_specs, rtts)

@@ -1,9 +1,11 @@
 """Tests for the global (EDF/FIFO) scheduler."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.sched import CRanConfig, GlobalScheduler
+from repro.sched import CRanConfig, GlobalScheduler, run_scheduler
 from repro.timing.cache import CacheAffinityModel
 
 from tests.helpers import make_job
@@ -88,6 +90,32 @@ class TestGlobalScheduler:
             cfg, rng=np.random.default_rng(0), queue_capacity=2
         ).run(jobs)
         assert any(r.drop_stage == "queue-overflow" for r in result.records)
+
+    def test_queue_overflow_evicts_earliest_deadline(self):
+        # Four same-instant arrivals into a 2-slot queue on one core.
+        # bs 1 is a newer frame with a 1.5 ms budget queued behind an
+        # older 2 ms frame from bs 0.  The EDF heap evicts its head, so
+        # the first overflow drops the newer, tighter-budget bs 1 (not
+        # the oldest entry); the second drops bs 0.
+        base = [make_job(b, 0, 5, [1]) for b in range(4)]
+        tight = dataclasses.replace(
+            base[1], deadline_override_us=base[1].subframe.air_time_us + 1500.0
+        )
+        jobs = [base[0], tight, base[2], base[3]]
+        cfg = CRanConfig(transport_latency_us=500.0, num_cores=1)
+        result = run_scheduler(
+            "global", cfg, jobs, seed=0, capture_trace=True, queue_capacity=2
+        )
+        evicted = [
+            (e.bs_id, e.sf_index)
+            for e in result.trace_run.events
+            if e.kind == "deadline" and e.args.get("drop_stage") == "queue-overflow"
+        ]
+        assert evicted == [(1, 0), (0, 0)]
+        by_bs = {r.bs_id: r for r in result.records}
+        assert by_bs[1].drop_stage == "queue-overflow"
+        assert by_bs[0].drop_stage == "queue-overflow"
+        assert not by_bs[2].dropped and not by_bs[3].dropped
 
     def test_more_cores_do_not_reduce_cache_misses(self, small_config, small_workload):
         # The Fig. 19 mechanism: wider scatter means colder caches.
