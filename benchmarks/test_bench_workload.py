@@ -1,25 +1,19 @@
 """Benchmarks for the array-native workload pipeline.
 
-Two groups, matching the two halves of the SoA fast path:
+One group, **workload**, matching the pipeline's two layers: the
+columnar build alone (trace -> MCS -> iteration draws -> noise and
+RTT/2 columns), job materialization from those columns (one shared
+task graph per distinct subframe), and the retained scalar reference
+(``build_workload_legacy``) as the control.
 
-* **workload** — end-to-end job construction through the SoA pipeline
-  vs. the retained scalar reference (``build_workload_legacy``), plus
-  the columnar build alone (no dataclass materialization) to expose
-  how much of the remaining cost is the lazy legacy-object creation;
-* **duration_oracle** — the memoized Eq. (1) oracle: cold table
-  construction (a fresh oracle per round) vs. the steady-state batch
-  gather over a whole MCS trace.
-
-The asserts pin equivalence invariants (SoA == legacy job lists, batch
-totals == scalar Eq. (1)) so a faster pipeline cannot silently drift.
+The asserts pin equivalence invariants (fast path == legacy job lists)
+so a faster pipeline cannot silently drift.
 """
 
-import numpy as np
 import pytest
 
 from repro.sched import CRanConfig
 from repro.sched.runner import build_workload, build_workload_legacy
-from repro.timing.model import DurationOracle, LinearTimingModel, duration_oracle
 from repro.workload.soa import build_workload_arrays, materialize_jobs
 
 #: Subframes per basestation for the build benchmarks (4 basestations).
@@ -29,21 +23,18 @@ BENCH_SEED = 2016
 
 @pytest.mark.benchmark(group="workload")
 def test_bench_workload_arrays(benchmark):
-    """Columnar build alone: trace -> MCS -> draws -> duration columns."""
+    """Columnar build alone: trace -> MCS -> draws -> noise/RTT columns."""
     cfg = CRanConfig(transport_latency_us=500.0)
     arrays = benchmark.pedantic(
         lambda: build_workload_arrays(cfg, BUILD_SUBFRAMES, seed=BENCH_SEED),
         rounds=3, iterations=1,
     )
     assert arrays.num_jobs == cfg.num_basestations * BUILD_SUBFRAMES
-    assert arrays.subtasks.num_subtasks == int(
-        arrays.block_offsets[-1]
-    ) + 2 * arrays.num_jobs
 
 
 @pytest.mark.benchmark(group="workload")
 def test_bench_workload_materialize(benchmark):
-    """Lazy dataclass materialization from a prebuilt columnar workload."""
+    """Job materialization from a prebuilt columnar workload."""
     cfg = CRanConfig(transport_latency_us=500.0)
     arrays = build_workload_arrays(cfg, BUILD_SUBFRAMES, seed=BENCH_SEED)
     jobs = benchmark.pedantic(lambda: materialize_jobs(arrays), rounds=3, iterations=1)
@@ -61,38 +52,3 @@ def test_bench_workload_build_legacy(benchmark):
     # Equivalence pin: the fast path must agree job for job.
     fast = build_workload(cfg, BUILD_SUBFRAMES, seed=BENCH_SEED)
     assert legacy == fast
-
-
-@pytest.mark.benchmark(group="duration_oracle")
-def test_bench_duration_tables_cold(benchmark):
-    """Cold oracle: compute every per-MCS duration table from scratch."""
-    model = LinearTimingModel()
-
-    def build_tables():
-        return DurationOracle(model, max_iterations=8).tables()
-
-    tables = benchmark(build_tables)
-    assert tables.decode_cb_us.shape == (28, 8)
-
-
-@pytest.mark.benchmark(group="duration_oracle")
-def test_bench_duration_oracle_batch(benchmark):
-    """Steady state: vectorized Eq. (1) gather over a whole MCS trace."""
-    model = LinearTimingModel()
-    tables = duration_oracle(model, 8).tables()
-    rng = np.random.default_rng(BENCH_SEED)
-    mcs = rng.integers(0, 28, size=100_000)
-    mean_l = rng.uniform(1.0, 8.0, size=mcs.size)
-
-    totals = benchmark(lambda: tables.total_us(mcs, mean_l))
-    assert totals.shape == mcs.shape
-    # Equivalence pin against the scalar model on a sample.
-    for i in range(0, mcs.size, 20_000):
-        m = int(mcs[i])
-        serial = (
-            tables.fft_subtask_us * tables.num_antennas
-            + float(tables.demod_us[m])
-            + float(tables.prologue_us[m])
-        )
-        per_block = float(tables.decode_cb_us[m, 0]) * int(tables.code_blocks[m])
-        assert totals[i] == serial + per_block * float(mean_l[i])

@@ -13,7 +13,7 @@ policies over the *same* job list.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +30,65 @@ from repro.timing.platform import PlatformNoiseModel
 from repro.timing.tasks import build_subframe_work
 from repro.workload.mapping import GrantMapper
 from repro.workload.traces import CellularTraceGenerator
+
+
+def resolve_workload_inputs(
+    config: CRanConfig,
+    num_subframes: int,
+    seed: int,
+    loads: Optional[np.ndarray],
+    timing_model: Optional[LinearTimingModel],
+    iteration_model: Optional[IterationModel],
+    noise_model: Optional[PlatformNoiseModel],
+    mapper: Optional[GrantMapper],
+    transport_jitter: Optional[np.ndarray],
+) -> Tuple[
+    LinearTimingModel, IterationModel, PlatformNoiseModel, GrantMapper, np.ndarray, np.ndarray
+]:
+    """Default models, load generation and input checks for one workload.
+
+    Shared by :func:`build_workload_legacy` and
+    :func:`repro.workload.soa.build_workload_arrays`, which take the
+    same parameters; it draws from none of their RNG streams.  Returns
+    ``(timing, iterations, noise, mapper, loads, transport_us)``, where
+    ``transport_us`` is the effective RTT/2 (``transport_latency_us``
+    plus the jitter) per (bs, subframe), shaped like ``loads``.  Each
+    must be finite and >= 0: a NaN arrival never misses, and a negative
+    one is processed before it is received.
+    """
+    timing = timing_model if timing_model is not None else LinearTimingModel()
+    iters = iteration_model if iteration_model is not None else IterationModel(
+        max_iterations=config.max_iterations
+    )
+    noise = noise_model if noise_model is not None else PlatformNoiseModel()
+    grants = mapper if mapper is not None else GrantMapper(num_antennas=config.num_antennas)
+
+    if loads is None:
+        generator = CellularTraceGenerator(seed=seed)
+        if generator.num_basestations < config.num_basestations:
+            raise ValueError(
+                "default trace model has fewer basestations than the config; pass loads="
+            )
+        loads = generator.generate(num_subframes)[: config.num_basestations]
+    loads = np.asarray(loads, dtype=np.float64)
+    if loads.shape != (config.num_basestations, num_subframes):
+        raise ValueError(
+            f"loads must be shaped {(config.num_basestations, num_subframes)}, got {loads.shape}"
+        )
+    transport_us = np.full(loads.shape, config.transport_latency_us, dtype=np.float64)
+    if transport_jitter is not None:
+        transport_jitter = np.asarray(transport_jitter, dtype=np.float64)
+        if transport_jitter.shape != loads.shape:
+            raise ValueError("transport_jitter must match the loads shape")
+        transport_us = transport_us + transport_jitter
+    bad = ~(np.isfinite(transport_us) & (transport_us >= 0.0))
+    if bad.any():
+        bs, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise ValueError(
+            f"effective RTT/2 at (bs={bs}, subframe={j}) is {transport_us[bs, j]} us; "
+            "transport_latency_us + transport_jitter must be finite and >= 0"
+        )
+    return timing, iters, noise, grants, loads, transport_us
 
 
 def build_workload(
@@ -114,29 +173,10 @@ def build_workload_legacy(
     and require equal job lists.
     """
     streams = RngStreams(seed)
-    timing = timing_model if timing_model is not None else LinearTimingModel()
-    iters = iteration_model if iteration_model is not None else IterationModel(
-        max_iterations=config.max_iterations
+    timing, iters, noise, grants, loads, transport_us = resolve_workload_inputs(
+        config, num_subframes, seed, loads, timing_model, iteration_model,
+        noise_model, mapper, transport_jitter,
     )
-    noise = noise_model if noise_model is not None else PlatformNoiseModel()
-    grants = mapper if mapper is not None else GrantMapper(num_antennas=config.num_antennas)
-
-    if loads is None:
-        generator = CellularTraceGenerator(seed=seed)
-        if generator.num_basestations < config.num_basestations:
-            raise ValueError(
-                "default trace model has fewer basestations than the config; pass loads="
-            )
-        loads = generator.generate(num_subframes)[: config.num_basestations]
-    loads = np.asarray(loads, dtype=np.float64)
-    if loads.shape != (config.num_basestations, num_subframes):
-        raise ValueError(
-            f"loads must be shaped {(config.num_basestations, num_subframes)}, got {loads.shape}"
-        )
-    if transport_jitter is not None:
-        transport_jitter = np.asarray(transport_jitter, dtype=np.float64)
-        if transport_jitter.shape != loads.shape:
-            raise ValueError("transport_jitter must match the loads shape")
 
     grid = GridConfig(10.0)
     iter_rng = streams.stream("iterations")
@@ -157,15 +197,12 @@ def build_workload_legacy(
                 max_iterations=config.max_iterations,
                 crc_pass=draw.crc_pass,
             )
-            latency = config.transport_latency_us
-            if transport_jitter is not None:
-                latency += float(transport_jitter[bs, j])
             subframe = Subframe(
                 bs_id=bs,
                 index=j,
                 grant=grant,
                 snr_db=config.snr_db,
-                transport_latency_us=latency,
+                transport_latency_us=float(transport_us[bs, j]),
                 grid=grid,
             )
             jobs.append(

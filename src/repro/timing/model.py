@@ -23,14 +23,11 @@ Trxproc) samples by least squares — the Table 1 experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.constants import W0_US, W1_US, W2_US, W3_US
-from repro.lte.mcs import modulation_order, subcarrier_load
-from repro.lte.segmentation import num_code_blocks
 from repro.lte.subframe import UplinkGrant
 
 #: Per-antenna FFT share of w1 (us): Fig. 18's 108 us FFT task at N = 2.
@@ -126,211 +123,6 @@ class LinearTimingModel:
             self.decode_subtask_time(load, l, num_blocks) for l in per_block_iterations
         )
         return self.decode_prologue_time(modulation_order) + turbo
-
-
-# -- memoized duration oracle ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class GrantDurations:
-    """Every Eq. (1) task/subtask duration for one grant shape.
-
-    The durations are a pure function of
-    ``(mcs, num_prbs, num_antennas, max_iterations)`` given the model
-    coefficients — everything except the stochastic per-code-block
-    iteration draw.  ``decode_cb_us[l - 1]`` is the turbo time of one
-    code block at ``l`` iterations, computed by the exact scalar
-    formulas of :class:`LinearTimingModel`, so materializing a task
-    graph from a cached instance is bit-identical to recomputing it.
-    """
-
-    mcs: int
-    num_prbs: int
-    num_antennas: int
-    max_iterations: int
-    code_blocks: int
-    modulation_order: int
-    subcarrier_load: float
-    fft_subtask_us: float
-    fft_serial_us: float
-    demod_us: float
-    prologue_us: float
-    planned_cb_us: float
-    decode_cb_us: Tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class DurationTables:
-    """Per-MCS lookup tables for vectorized Eq. (1) evaluation.
-
-    Arrays are indexed by MCS (axis 0); ``decode_cb_us`` is
-    ``(mcs_cap + 1, max_iterations)`` with the iteration count on
-    axis 1 (``l`` at column ``l - 1``).  Values are exactly the scalar
-    ones from :class:`GrantDurations` — the tables only gather them.
-    """
-
-    num_prbs: int
-    num_antennas: int
-    max_iterations: int
-    code_blocks: np.ndarray
-    modulation_order: np.ndarray
-    subcarrier_load: np.ndarray
-    fft_subtask_us: float
-    demod_us: np.ndarray
-    prologue_us: np.ndarray
-    planned_cb_us: np.ndarray
-    decode_cb_us: np.ndarray
-
-    def decode_subtask_us(self, mcs: np.ndarray, iterations: np.ndarray) -> np.ndarray:
-        """Per-code-block decode durations for aligned (mcs, L) arrays."""
-        return self.decode_cb_us[mcs, np.asarray(iterations, dtype=np.int64) - 1]
-
-    def total_us(self, mcs: np.ndarray, mean_iterations: np.ndarray) -> np.ndarray:
-        """Eq. (1) over a whole MCS trace (noise-free, vectorized)."""
-        mcs = np.asarray(mcs, dtype=np.int64)
-        serial = (
-            self.fft_subtask_us * self.num_antennas
-            + self.demod_us[mcs]
-            + self.prologue_us[mcs]
-        )
-        per_block = self.decode_cb_us[mcs, 0]  # one iteration per block
-        return serial + per_block * self.code_blocks[mcs] * np.asarray(
-            mean_iterations, dtype=np.float64
-        )
-
-
-class DurationOracle:
-    """Content-addressed cache of Eq. (1) durations per grant shape.
-
-    One oracle exists per (model coefficients, Lm) pair — obtain it via
-    :func:`duration_oracle`, which interns oracles on the frozen
-    :class:`LinearTimingModel` itself, so two equal models share one
-    cache (content addressing) and a *different* model can never serve
-    stale durations (the key embeds every coefficient).  Invalidation
-    is therefore structural: entries are immutable and only ever added.
-
-    The per-key values are computed once with the model's scalar
-    methods; the hot paths then do dictionary lookups (scalar use) or
-    numpy gathers (:meth:`tables` for whole-trace batch evaluation),
-    leaving the stochastic iteration draw as the only per-subframe
-    work.
-    """
-
-    def __init__(self, model: LinearTimingModel, max_iterations: int):
-        self.model = model
-        self.max_iterations = int(max_iterations)
-        self._grants: Dict[Tuple[int, int, int], GrantDurations] = {}
-        self._tables: Dict[Tuple[int, int, int], DurationTables] = {}
-        self._user_decode: Dict[Tuple[int, int, int, int], Tuple[float, float]] = {}
-
-    def grant_durations(
-        self, mcs: int, num_prbs: int = 50, num_antennas: int = 2
-    ) -> GrantDurations:
-        """The memoized duration bundle for one grant shape."""
-        key = (int(mcs), int(num_prbs), int(num_antennas))
-        cached = self._grants.get(key)
-        if cached is None:
-            cached = self._compute(*key)
-            self._grants[key] = cached
-        return cached
-
-    def for_grant(self, grant: UplinkGrant) -> GrantDurations:
-        return self.grant_durations(grant.mcs, grant.num_prbs, grant.num_antennas)
-
-    def tables(
-        self, num_prbs: int = 50, num_antennas: int = 2, mcs_cap: int = 27
-    ) -> DurationTables:
-        """Per-MCS gather tables over ``0..mcs_cap`` (vectorized eval)."""
-        key = (int(num_prbs), int(num_antennas), int(mcs_cap))
-        cached = self._tables.get(key)
-        if cached is None:
-            grants = [
-                self.grant_durations(m, num_prbs, num_antennas)
-                for m in range(mcs_cap + 1)
-            ]
-            cached = DurationTables(
-                num_prbs=int(num_prbs),
-                num_antennas=int(num_antennas),
-                max_iterations=self.max_iterations,
-                code_blocks=np.array([g.code_blocks for g in grants], dtype=np.int64),
-                modulation_order=np.array(
-                    [g.modulation_order for g in grants], dtype=np.int64
-                ),
-                subcarrier_load=np.array([g.subcarrier_load for g in grants]),
-                fft_subtask_us=self.model.fft_subtask_time(),
-                demod_us=np.array([g.demod_us for g in grants]),
-                prologue_us=np.array([g.prologue_us for g in grants]),
-                planned_cb_us=np.array([g.planned_cb_us for g in grants]),
-                decode_cb_us=np.array([g.decode_cb_us for g in grants]),
-            )
-            self._tables[key] = cached
-        return cached
-
-    def user_decode_us(
-        self, mcs: int, num_prbs: int, subframe_prbs: int, iterations: int
-    ) -> Tuple[float, float]:
-        """(actual, planned) decode-subtask times for a multi-user slice.
-
-        Mirrors :func:`repro.timing.multiuser.build_multiuser_work`'s
-        per-code-block arithmetic exactly: the user's subcarrier load is
-        scaled by its PRB fraction before entering Eq. (1).
-        """
-        key = (int(mcs), int(num_prbs), int(subframe_prbs), int(iterations))
-        cached = self._user_decode.get(key)
-        if cached is None:
-            blocks = num_code_blocks_for(mcs, num_prbs)
-            frac = num_prbs / subframe_prbs
-            scaled = subcarrier_load(mcs, num_prbs) * frac
-            cached = (
-                self.model.decode_subtask_time(scaled, float(iterations), blocks),
-                self.model.decode_subtask_time(
-                    scaled, float(self.max_iterations), blocks
-                ),
-            )
-            self._user_decode[key] = cached
-        return cached
-
-    def _compute(self, mcs: int, num_prbs: int, num_antennas: int) -> GrantDurations:
-        model = self.model
-        q_m = modulation_order(mcs)
-        load = subcarrier_load(mcs, num_prbs)
-        blocks = num_code_blocks_for(mcs, num_prbs)
-        return GrantDurations(
-            mcs=mcs,
-            num_prbs=num_prbs,
-            num_antennas=num_antennas,
-            max_iterations=self.max_iterations,
-            code_blocks=blocks,
-            modulation_order=q_m,
-            subcarrier_load=load,
-            fft_subtask_us=model.fft_subtask_time(),
-            fft_serial_us=model.fft_task_time(num_antennas),
-            demod_us=model.demod_task_time(num_antennas, q_m),
-            prologue_us=model.decode_prologue_time(q_m),
-            planned_cb_us=model.decode_subtask_time(
-                load, float(self.max_iterations), blocks
-            ),
-            decode_cb_us=tuple(
-                model.decode_subtask_time(load, float(l), blocks)
-                for l in range(1, self.max_iterations + 1)
-            ),
-        )
-
-
-@lru_cache(maxsize=None)
-def num_code_blocks_for(mcs: int, num_prbs: int) -> int:
-    """Code-block count for a grant shape (cached on the shape key)."""
-    from repro.lte.mcs import transport_block_size
-
-    return num_code_blocks(transport_block_size(mcs, num_prbs))
-
-
-@lru_cache(maxsize=None)
-def duration_oracle(
-    model: LinearTimingModel, max_iterations: int
-) -> DurationOracle:
-    """The shared oracle for ``model`` — interned on its coefficients."""
-    return DurationOracle(model, max_iterations)
 
 
 @dataclass(frozen=True)

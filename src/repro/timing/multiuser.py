@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.timing.model import LinearTimingModel, duration_oracle
+from repro.timing.model import LinearTimingModel
 from repro.timing.tasks import SubframeWork, SubtaskSpec, TaskSpec
 
 
@@ -90,11 +90,6 @@ def build_multiuser_work(
     prologue = model.decode_prologue_time(1) * effective_k
     # decode_prologue_time is linear in K, so evaluate at K=1 and scale.
 
-    # The oracle memoizes the per-code-block arithmetic below for stock
-    # models (same scalar formulas, so the floats are identical);
-    # subclasses overriding decode_subtask_time keep the direct path.
-    oracle = duration_oracle(model, max_iterations) if type(model) is LinearTimingModel else None
-
     subtasks: List[SubtaskSpec] = []
     all_iterations: List[int] = []
     for u, (grant, iterations) in enumerate(zip(grants, per_user_iterations)):
@@ -103,18 +98,16 @@ def build_multiuser_work(
             raise ValueError(
                 f"user {u}: need {blocks} iteration counts, got {len(iterations)}"
             )
-        frac = grant.num_prbs / subframe_prbs
-        load = grant.subcarrier_load  # bits per RE over the user's own PRBs
+        # Bits per RE over the user's own PRBs, weighted by its PRB share.
+        load = grant.subcarrier_load * (grant.num_prbs / subframe_prbs)
+        planned = model.decode_subtask_time(load, float(max_iterations), blocks)
         for cb, l in enumerate(iterations):
-            if oracle is not None:
-                duration, planned = oracle.user_decode_us(
-                    grant.mcs, grant.num_prbs, subframe_prbs, int(l)
-                )
-            else:
-                duration = model.decode_subtask_time(load * frac, float(l), blocks)
-                planned = model.decode_subtask_time(load * frac, float(max_iterations), blocks)
             subtasks.append(
-                SubtaskSpec(name=f"decode/u{u}cb{cb}", duration_us=duration, planned_us=planned)
+                SubtaskSpec(
+                    name=f"decode/u{u}cb{cb}",
+                    duration_us=model.decode_subtask_time(load, float(l), blocks),
+                    planned_us=planned,
+                )
             )
             all_iterations.append(int(l))
 

@@ -17,17 +17,11 @@ recovery path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 from repro.lte.subframe import UplinkGrant
-from repro.timing.model import DurationTables, LinearTimingModel
-
-#: ``SubtaskArrays.kind`` codes.
-KIND_FFT = 0
-KIND_DECODE = 1
+from repro.timing.model import LinearTimingModel
 
 
 @dataclass(frozen=True)
@@ -97,6 +91,32 @@ class SubframeWork:
         raise KeyError(f"no task named {name!r}")
 
 
+# Specs are frozen value objects, so graphs share one instance per
+# distinct value: a workload holds a few hundred distinct specs however
+# many subframes it has, and each TaskSpec computes its cached serial
+# duration once.  The bound caps memory when many models are swept.
+_SPEC_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_SPEC_CACHE_SIZE)
+def _decode_subtask(cb: int, duration_us: float, planned_us: float) -> SubtaskSpec:
+    return SubtaskSpec(name=f"decode/cb{cb}", duration_us=duration_us, planned_us=planned_us)
+
+
+@lru_cache(maxsize=_SPEC_CACHE_SIZE)
+def _fft_task(subtask_us: float, num_antennas: int) -> TaskSpec:
+    subtasks = tuple(
+        SubtaskSpec(name=f"fft/ant{a}", duration_us=subtask_us, planned_us=subtask_us)
+        for a in range(num_antennas)
+    )
+    return TaskSpec(name="fft", serial_us=0.0, subtasks=subtasks, parallelizable=True)
+
+
+@lru_cache(maxsize=_SPEC_CACHE_SIZE)
+def _serial_task(name: str, serial_us: float) -> TaskSpec:
+    return TaskSpec(name=name, serial_us=serial_us)
+
+
 def build_subframe_work(
     model: LinearTimingModel,
     grant: UplinkGrant,
@@ -118,43 +138,32 @@ def build_subframe_work(
             f"need {num_blocks} iteration counts for this grant, got {len(iterations)}"
         )
 
-    fft_sub = model.fft_subtask_time()
-    fft_subtasks = tuple(
-        SubtaskSpec(name=f"fft/ant{a}", duration_us=fft_sub, planned_us=fft_sub)
-        for a in range(grant.num_antennas)
-    )
-    fft = TaskSpec(
-        name="fft",
-        serial_us=0.0,
-        subtasks=fft_subtasks if parallelize_fft else (),
-        parallelizable=parallelize_fft,
-    )
-    if not parallelize_fft:
-        fft = TaskSpec(name="fft", serial_us=model.fft_task_time(grant.num_antennas))
-
-    demod = TaskSpec(
-        name="demod",
-        serial_us=model.demod_task_time(grant.num_antennas, grant.modulation_order),
+    num_antennas = grant.num_antennas
+    if parallelize_fft:
+        fft = _fft_task(model.fft_subtask_time(), num_antennas)
+    else:
+        fft = _serial_task("fft", model.fft_task_time(num_antennas))
+    demod = _serial_task(
+        "demod", model.demod_task_time(num_antennas, grant.modulation_order)
     )
 
     load = grant.subcarrier_load
     planned_cb = model.decode_subtask_time(load, float(max_iterations), num_blocks)
     decode_subtasks = tuple(
-        SubtaskSpec(
-            name=f"decode/cb{i}",
-            duration_us=model.decode_subtask_time(load, float(l), num_blocks),
-            planned_us=planned_cb,
+        _decode_subtask(
+            i, model.decode_subtask_time(load, float(l), num_blocks), planned_cb
         )
         for i, l in enumerate(iterations)
     )
     prologue = model.decode_prologue_time(grant.modulation_order)
-    decode = TaskSpec(
-        name="decode",
-        serial_us=prologue,
-        subtasks=decode_subtasks if parallelize_decode else (),
-        parallelizable=parallelize_decode,
-    )
-    if not parallelize_decode:
+    if parallelize_decode:
+        decode = TaskSpec(
+            name="decode",
+            serial_us=prologue,
+            subtasks=decode_subtasks,
+            parallelizable=True,
+        )
+    else:
         decode = TaskSpec(
             name="decode",
             serial_us=prologue + sum(s.duration_us for s in decode_subtasks),
@@ -165,194 +174,3 @@ def build_subframe_work(
         iterations=tuple(int(l) for l in iterations),
         crc_pass=crc_pass,
     )
-
-
-# -- structure-of-arrays fast path ------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubtaskArrays:
-    """Structure-of-arrays representation of a workload's subtasks.
-
-    One flat row per subtask across *all* subframes of a workload, laid
-    out per subframe as ``[fft x num_antennas, decode x code_blocks]``
-    (the execution order of :func:`build_subframe_work`).  Columns are
-    numpy arrays built in one vectorized pass — no per-subtask Python
-    objects exist until :meth:`materialize_works` lazily re-creates the
-    legacy dataclasses for schedulers that still need them.
-
-    ``offsets[i]:offsets[i + 1]`` is subframe ``i``'s subtask range;
-    ``row`` maps each subtask back to its subframe;
-    ``iterations``/``block_offsets`` carry the ragged per-code-block
-    draw exactly as the decode rows consume it.
-    """
-
-    num_antennas: int
-    #: per-subtask columns (flat)
-    kind: np.ndarray  # uint8: KIND_FFT | KIND_DECODE
-    cb_index: np.ndarray  # antenna index for fft rows, code-block index for decode
-    duration_us: np.ndarray
-    planned_us: np.ndarray
-    bs_id: np.ndarray
-    subframe_index: np.ndarray
-    row: np.ndarray  # owning subframe (index into the per-subframe columns)
-    #: per-subframe columns
-    offsets: np.ndarray  # (n + 1,) subtask ranges
-    mcs: np.ndarray
-    iterations: np.ndarray  # ragged per-code-block draws, flattened
-    block_offsets: np.ndarray  # (n + 1,) ranges into ``iterations``
-
-    @property
-    def num_subframes(self) -> int:
-        return len(self.offsets) - 1
-
-    @property
-    def num_subtasks(self) -> int:
-        return len(self.kind)
-
-    def materialize_works(
-        self, materializer: "WorkMaterializer", crc_pass: Sequence[bool]
-    ) -> List[SubframeWork]:
-        """Lazily materialize the legacy :class:`SubframeWork` objects."""
-        mcs = self.mcs.tolist()
-        iters = self.iterations.tolist()
-        bounds = self.block_offsets.tolist()
-        return [
-            materializer.work_for(
-                mcs[i], tuple(iters[bounds[i]:bounds[i + 1]]), bool(crc_pass[i])
-            )
-            for i in range(self.num_subframes)
-        ]
-
-
-def build_subtask_arrays(
-    tables: DurationTables,
-    mcs: np.ndarray,
-    bs_ids: np.ndarray,
-    subframe_indices: np.ndarray,
-    iterations: np.ndarray,
-    block_offsets: np.ndarray,
-) -> SubtaskArrays:
-    """One vectorized pass from (MCS trace, iteration draws) to the SoA.
-
-    ``iterations`` is the flattened per-code-block draw;
-    ``block_offsets`` its per-subframe ranges (``block_offsets[i + 1] -
-    block_offsets[i] == tables.code_blocks[mcs[i]]``).  Durations are
-    gathered from the oracle tables, so every float equals the scalar
-    value :func:`build_subframe_work` would compute.
-    """
-    mcs = np.asarray(mcs, dtype=np.int64)
-    bs_ids = np.asarray(bs_ids, dtype=np.int64)
-    subframe_indices = np.asarray(subframe_indices, dtype=np.int64)
-    iterations = np.asarray(iterations, dtype=np.int64)
-    block_offsets = np.asarray(block_offsets, dtype=np.int64)
-    n = mcs.size
-    num_antennas = tables.num_antennas
-    blocks = np.diff(block_offsets)
-    counts = num_antennas + blocks
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    total = int(offsets[-1])
-    row = np.repeat(np.arange(n, dtype=np.int64), counts)
-    pos = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], counts)
-    decode = pos >= num_antennas
-    kind = decode.astype(np.uint8)  # KIND_FFT = 0, KIND_DECODE = 1
-    cb_index = np.where(decode, pos - num_antennas, pos)
-    duration_us = np.full(total, tables.fft_subtask_us, dtype=np.float64)
-    planned_us = np.full(total, tables.fft_subtask_us, dtype=np.float64)
-    decode_mcs = mcs[row[decode]]
-    duration_us[decode] = tables.decode_cb_us[decode_mcs, iterations - 1]
-    planned_us[decode] = tables.planned_cb_us[decode_mcs]
-    return SubtaskArrays(
-        num_antennas=num_antennas,
-        kind=kind,
-        cb_index=cb_index,
-        duration_us=duration_us,
-        planned_us=planned_us,
-        bs_id=bs_ids[row],
-        subframe_index=subframe_indices[row],
-        row=row,
-        offsets=offsets,
-        mcs=mcs,
-        iterations=iterations,
-        block_offsets=block_offsets,
-    )
-
-
-class WorkMaterializer:
-    """Materializes byte-identical :class:`SubframeWork` objects from SoA rows.
-
-    Frozen specs are value objects, so equal pieces are *interned*: one
-    ``fft`` task per materializer, one ``demod`` task per MCS, one
-    decode :class:`SubtaskSpec` per (MCS, block index, L) and one
-    :class:`SubframeWork` per (MCS, iteration vector, CRC) — the whole
-    population the evaluation can produce is a few hundred distinct
-    objects.  Every float comes from the oracle tables, which computed
-    it with the exact scalar formulas, so ``work_for`` output compares
-    equal, field for field, with :func:`build_subframe_work`.
-    """
-
-    def __init__(self, tables: DurationTables):
-        self.tables = tables
-        fft_us = float(tables.fft_subtask_us)
-        self._fft_task = TaskSpec(
-            name="fft",
-            serial_us=0.0,
-            subtasks=tuple(
-                SubtaskSpec(name=f"fft/ant{a}", duration_us=fft_us, planned_us=fft_us)
-                for a in range(tables.num_antennas)
-            ),
-            parallelizable=True,
-        )
-        self._demod_us = tables.demod_us.tolist()
-        self._prologue_us = tables.prologue_us.tolist()
-        self._planned_cb_us = tables.planned_cb_us.tolist()
-        self._decode_cb_us = tables.decode_cb_us.tolist()
-        self._demod_tasks: dict = {}
-        self._decode_subtasks: dict = {}
-        self._works: dict = {}
-
-    def work_for(
-        self, mcs: int, iterations: Tuple[int, ...], crc_pass: bool
-    ) -> SubframeWork:
-        """The (interned) task graph for one subframe."""
-        key = (mcs, iterations, crc_pass)
-        work = self._works.get(key)
-        if work is None:
-            work = self._build(mcs, iterations, crc_pass)
-            self._works[key] = work
-        return work
-
-    def _build(
-        self, mcs: int, iterations: Tuple[int, ...], crc_pass: bool
-    ) -> SubframeWork:
-        demod = self._demod_tasks.get(mcs)
-        if demod is None:
-            demod = TaskSpec(name="demod", serial_us=self._demod_us[mcs])
-            self._demod_tasks[mcs] = demod
-        subtasks = self._decode_subtasks
-        planned_us = self._planned_cb_us[mcs]
-        durations = self._decode_cb_us[mcs]
-        decode_subtasks = []
-        for cb, l in enumerate(iterations):
-            sub_key = (mcs, cb, l)
-            spec = subtasks.get(sub_key)
-            if spec is None:
-                spec = SubtaskSpec(
-                    name=f"decode/cb{cb}",
-                    duration_us=durations[l - 1],
-                    planned_us=planned_us,
-                )
-                subtasks[sub_key] = spec
-            decode_subtasks.append(spec)
-        decode = TaskSpec(
-            name="decode",
-            serial_us=self._prologue_us[mcs],
-            subtasks=tuple(decode_subtasks),
-            parallelizable=True,
-        )
-        return SubframeWork(
-            tasks=(self._fft_task, demod, decode),
-            iterations=iterations,
-            crc_pass=crc_pass,
-        )

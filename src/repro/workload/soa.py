@@ -1,40 +1,42 @@
-"""Array-native workload pipeline: the structure-of-arrays fast path.
+"""Array-native workload pipeline: columns first, task graphs shared.
 
-``build_workload_arrays`` runs the whole evaluation-workload
-construction — load trace → MCS → per-code-block iteration draws →
-Eq. (1) durations — as numpy column operations, producing a
+Two layers.  ``build_workload_arrays`` runs the per-subframe part of the
+evaluation workload — load trace → MCS → per-code-block iteration draws
+→ platform noise and RTT/2 — as numpy columns, producing a
 :class:`WorkloadArrays` whose only per-subframe Python work is the
 stream-exact RNG replay (:meth:`IterationModel.draw_trace`) and the
 platform-noise draw (whose conditional uniforms preclude batching).
-``materialize_jobs`` then lazily re-creates the legacy
-:class:`~repro.sched.base.SubframeJob` dataclasses for the schedulers,
-interning every frozen value object (grants, task specs, whole
-subframe works) so equal subframes share one instance.
+``materialize_jobs`` then builds the
+:class:`~repro.sched.base.SubframeJob` list, calling
+:func:`~repro.timing.tasks.build_subframe_work` — the one task-graph
+builder — once per distinct (MCS, iteration vector, CRC) and sharing
+the result, with one interned grant per MCS.
 
 The contract is byte-identity: for the default model types the job list
 compares equal, field for field, with the scalar builder retained as
-``build_workload_legacy`` in :mod:`repro.sched.runner` — the RNG streams
-are consumed bit-for-bit identically and every float is gathered from
-tables the duration oracle computed with the exact scalar formulas.
+``build_workload_legacy`` in :mod:`repro.sched.runner` — both start from
+:func:`~repro.sched.runner.resolve_workload_inputs`, consume the RNG
+streams bit-for-bit identically and build task graphs with the same
+function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.lte.grid import GridConfig
 from repro.lte.subframe import Subframe, interned_grant
 from repro.sched.base import CRanConfig, SubframeJob
+from repro.sched.runner import resolve_workload_inputs
 from repro.sim.rng import RngStreams
 from repro.timing.iterations import IterationModel
-from repro.timing.model import DurationTables, LinearTimingModel, duration_oracle
+from repro.timing.model import LinearTimingModel
 from repro.timing.platform import PlatformNoiseModel
-from repro.timing.tasks import SubtaskArrays, WorkMaterializer, build_subtask_arrays
+from repro.timing.tasks import SubframeWork, build_subframe_work
 from repro.workload.mapping import GrantMapper
-from repro.workload.traces import CellularTraceGenerator
 
 
 @dataclass(frozen=True)
@@ -43,15 +45,16 @@ class WorkloadArrays:
 
     Per-subframe columns are ordered basestation-major — exactly the
     legacy builder's ``(bs, subframe)`` loop order, so materialized
-    jobs come out in the same sequence.  ``subtasks`` is the flat
-    per-subtask SoA (durations, kinds, code-block indices) built in the
-    same pass.
+    jobs come out in the same sequence.  ``iterations`` is the flat
+    per-code-block draw; ``block_offsets[i]:block_offsets[i + 1]`` is
+    subframe ``i``'s slice of it.
     """
 
     snr_db: float
     num_prbs: int
     num_antennas: int
-    tables: DurationTables
+    max_iterations: int
+    timing_model: LinearTimingModel
     bs_id: np.ndarray
     subframe_index: np.ndarray
     load: np.ndarray
@@ -61,7 +64,6 @@ class WorkloadArrays:
     crc_pass: np.ndarray
     iterations: np.ndarray
     block_offsets: np.ndarray
-    subtasks: SubtaskArrays
 
     @property
     def num_jobs(self) -> int:
@@ -85,43 +87,25 @@ def build_workload_arrays(
     the same order; see the module docstring for the identity contract.
     """
     streams = RngStreams(seed)
-    timing = timing_model if timing_model is not None else LinearTimingModel()
-    iters = iteration_model if iteration_model is not None else IterationModel(
-        max_iterations=config.max_iterations
+    timing, iters, noise, grants, loads, transport_us = resolve_workload_inputs(
+        config, num_subframes, seed, loads, timing_model, iteration_model,
+        noise_model, mapper, transport_jitter,
     )
-    noise = noise_model if noise_model is not None else PlatformNoiseModel()
-    grants = mapper if mapper is not None else GrantMapper(num_antennas=config.num_antennas)
-
-    if loads is None:
-        generator = CellularTraceGenerator(seed=seed)
-        if generator.num_basestations < config.num_basestations:
-            raise ValueError(
-                "default trace model has fewer basestations than the config; pass loads="
-            )
-        loads = generator.generate(num_subframes)[: config.num_basestations]
-    loads = np.asarray(loads, dtype=np.float64)
-    if loads.shape != (config.num_basestations, num_subframes):
-        raise ValueError(
-            f"loads must be shaped {(config.num_basestations, num_subframes)}, got {loads.shape}"
-        )
-    if transport_jitter is not None:
-        transport_jitter = np.asarray(transport_jitter, dtype=np.float64)
-        if transport_jitter.shape != loads.shape:
-            raise ValueError("transport_jitter must match the loads shape")
 
     load_flat = loads.ravel()  # C order == the legacy (bs, subframe) loop
     n = load_flat.size
     mcs = grants.mcs_for_trace(load_flat)
 
-    oracle = duration_oracle(timing, config.max_iterations)
-    tables = oracle.tables(
-        num_prbs=grants.num_prbs,
-        num_antennas=grants.num_antennas,
-        mcs_cap=grants.mcs_cap,
+    distinct_mcs, inverse = np.unique(mcs, return_inverse=True)
+    code_blocks = np.array(
+        [
+            interned_grant(int(m), grants.num_prbs, grants.num_antennas).code_blocks
+            for m in distinct_mcs
+        ],
+        dtype=np.int64,
     )
-    blocks = tables.code_blocks[mcs]
     block_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(blocks, out=block_offsets[1:])
+    np.cumsum(code_blocks[inverse], out=block_offsets[1:])
 
     draw = iters.draw_trace(mcs, config.snr_db, streams.stream("iterations"), block_offsets)
 
@@ -131,67 +115,75 @@ def build_workload_arrays(
     noise_rng = streams.stream("platform-noise")
     noise_us = np.array([noise.draw_one(noise_rng) for _ in range(n)], dtype=np.float64)
 
-    transport_us = np.full(n, config.transport_latency_us, dtype=np.float64)
-    if transport_jitter is not None:
-        transport_us = transport_us + transport_jitter.ravel()
-
-    bs_id = np.repeat(np.arange(config.num_basestations, dtype=np.int64), num_subframes)
-    subframe_index = np.tile(np.arange(num_subframes, dtype=np.int64), config.num_basestations)
-    subtasks = build_subtask_arrays(
-        tables, mcs, bs_id, subframe_index, draw.iterations, block_offsets
-    )
     return WorkloadArrays(
         snr_db=config.snr_db,
         num_prbs=grants.num_prbs,
         num_antennas=grants.num_antennas,
-        tables=tables,
-        bs_id=bs_id,
-        subframe_index=subframe_index,
+        max_iterations=config.max_iterations,
+        timing_model=timing,
+        bs_id=np.repeat(np.arange(config.num_basestations, dtype=np.int64), num_subframes),
+        subframe_index=np.tile(
+            np.arange(num_subframes, dtype=np.int64), config.num_basestations
+        ),
         load=load_flat,
         mcs=mcs,
-        transport_latency_us=transport_us,
+        transport_latency_us=transport_us.ravel(),
         noise_us=noise_us,
         crc_pass=draw.crc_pass,
         iterations=draw.iterations,
         block_offsets=block_offsets,
-        subtasks=subtasks,
     )
 
 
 def materialize_jobs(arrays: WorkloadArrays) -> List[SubframeJob]:
-    """Materialize the legacy job list from the columnar workload.
+    """Materialize the job list from the columnar workload.
 
-    Every frozen piece is interned — one grant per MCS, one
-    :class:`~repro.timing.tasks.SubframeWork` per distinct
-    (MCS, iteration vector, CRC) — so the job list allocates O(distinct)
-    value objects instead of O(subframes).
+    One grant per MCS and one :class:`~repro.timing.tasks.SubframeWork`
+    per distinct (MCS, iteration vector, CRC) are built and shared, so
+    the job list allocates O(distinct) value objects instead of
+    O(subframes).
     """
     grid = GridConfig(10.0)
-    materializer = WorkMaterializer(arrays.tables)
-    works = arrays.subtasks.materialize_works(materializer, arrays.crc_pass)
     mcs = arrays.mcs.tolist()
     bs_id = arrays.bs_id.tolist()
     index = arrays.subframe_index.tolist()
     latency = arrays.transport_latency_us.tolist()
     noise = arrays.noise_us.tolist()
     load = arrays.load.tolist()
+    crc = arrays.crc_pass.tolist()
+    iterations = arrays.iterations.tolist()
+    bounds = arrays.block_offsets.tolist()
     snr_db = arrays.snr_db
     grants = {
         m: interned_grant(m, arrays.num_prbs, arrays.num_antennas) for m in set(mcs)
     }
-    return [
-        SubframeJob(
-            subframe=Subframe(
-                bs_id=bs_id[i],
-                index=index[i],
-                grant=grants[mcs[i]],
-                snr_db=snr_db,
-                transport_latency_us=latency[i],
-                grid=grid,
-            ),
-            work=works[i],
-            noise_us=noise[i],
-            load=load[i],
+    works: Dict[Tuple[int, Tuple[int, ...], bool], SubframeWork] = {}
+    jobs = []
+    for i, m in enumerate(mcs):
+        drawn = tuple(iterations[bounds[i]:bounds[i + 1]])
+        key = (m, drawn, crc[i])
+        work = works.get(key)
+        if work is None:
+            work = works[key] = build_subframe_work(
+                arrays.timing_model,
+                grants[m],
+                drawn,
+                max_iterations=arrays.max_iterations,
+                crc_pass=crc[i],
+            )
+        jobs.append(
+            SubframeJob(
+                subframe=Subframe(
+                    bs_id=bs_id[i],
+                    index=index[i],
+                    grant=grants[m],
+                    snr_db=snr_db,
+                    transport_latency_us=latency[i],
+                    grid=grid,
+                ),
+                work=work,
+                noise_us=noise[i],
+                load=load[i],
+            )
         )
-        for i in range(len(mcs))
-    ]
+    return jobs

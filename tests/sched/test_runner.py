@@ -1,10 +1,12 @@
 """Tests for workload construction and the scheduler entry points."""
 
+import re
+
 import numpy as np
 import pytest
 
-from repro.sched import build_workload, run_scheduler
-from repro.sched.runner import compare_schedulers
+from repro.sched import CRanConfig, build_workload, run_scheduler
+from repro.sched.runner import build_workload_legacy, compare_schedulers
 
 
 class TestBuildWorkload:
@@ -49,6 +51,28 @@ class TestBuildWorkload:
     def test_jitter_shape_validated(self, small_config):
         with pytest.raises(ValueError):
             build_workload(small_config, 10, transport_jitter=np.ones((4, 5)))
+
+    @pytest.mark.parametrize("builder", [build_workload, build_workload_legacy])
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"), (-500.5, "-0.5")],
+    )
+    def test_bad_effective_latency_rejected(self, small_config, builder, bad, shown):
+        # RTT/2 + jitter must be finite and >= 0 at every (bs, subframe):
+        # NaN arrivals never miss, negative ones precede their air time.
+        jitter = np.zeros((4, 10))
+        jitter[2, 7] = bad
+        with pytest.raises(ValueError, match=re.escape(f"(bs=2, subframe=7) is {shown} us")):
+            builder(small_config, 10, seed=1, transport_jitter=jitter)
+
+    @pytest.mark.parametrize("builder", [build_workload, build_workload_legacy])
+    def test_zero_latency_accepted(self, builder):
+        # Jitter that cancels the fixed RTT/2 exactly still means "arrives
+        # at the end of its air time", which is valid.
+        cfg = CRanConfig(transport_latency_us=400.0)
+        jitter = np.full((4, 10), -400.0)
+        jobs = builder(cfg, 10, seed=1, transport_jitter=jitter)
+        assert all(j.subframe.transport_latency_us == 0.0 for j in jobs)
 
     def test_iterations_match_code_blocks(self, small_config):
         jobs = build_workload(small_config, 30, seed=1)

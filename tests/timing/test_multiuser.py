@@ -88,6 +88,26 @@ class TestMultiUserWorkload:
         result = run_scheduler("rt-opex", cfg, jobs)
         assert len(result.records) == len(jobs)
 
+    def test_work_list_is_pinned(self):
+        # Golden for ext_multiuser's workload: sha256 over repr of every
+        # job's task graph and platform noise, 4 cells x 400 subframes.
+        import hashlib
+
+        from repro.sched import CRanConfig
+        from repro.workload.multiuser import build_multiuser_workload
+
+        jobs = build_multiuser_workload(
+            CRanConfig(transport_latency_us=500.0), 400, seed=2016
+        )
+        digest = hashlib.sha256()
+        for job in jobs:
+            digest.update(repr(job.work).encode())
+            digest.update(repr(job.noise_us).encode())
+        assert len(jobs) == 1600
+        assert digest.hexdigest() == (
+            "1179a6692be111c435f72a4ff3f1fb753b0464fcc99e7c4d0f41b740493c4388"
+        )
+
     def test_full_prb_mode_occupies_everything(self):
         from repro.sched import CRanConfig
         from repro.workload.multiuser import build_multiuser_workload

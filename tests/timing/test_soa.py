@@ -1,12 +1,13 @@
-"""SoA pipeline equivalence: arrays ↔ legacy dataclasses, bit for bit.
+"""Columnar workload equivalence: fast path == scalar reference, bit for bit.
 
-The structure-of-arrays fast path is only admissible because every
-piece of it is provably identical to the scalar reference:
+Both builders make task graphs with :func:`build_subframe_work`, so the
+columnar fast path is admissible because its other pieces are provably
+identical to the scalar reference:
 
-* :func:`build_subtask_arrays` + :class:`WorkMaterializer` must
-  round-trip to exactly the :class:`SubframeWork` the legacy
-  :func:`build_subframe_work` constructs (hypothesis-driven over the
-  whole (MCS, iterations, CRC) space);
+* :func:`build_subframe_work`'s shared specs must carry exactly the
+  Eq. (1) values of their subframe (hypothesis-driven over the whole
+  (MCS, iterations, CRC) space), and equal values must share one
+  instance;
 * :meth:`IterationModel.draw_trace` must consume the RNG bitstream
   exactly as per-subframe :meth:`draw_subframe` calls, leaving the
   generator in the same end state;
@@ -20,87 +21,43 @@ from hypothesis import given, settings, strategies as st
 from repro.lte.subframe import interned_grant
 from repro.sched.base import CRanConfig
 from repro.timing.iterations import IterationModel
-from repro.timing.model import LinearTimingModel, duration_oracle
-from repro.timing.tasks import (
-    KIND_DECODE,
-    KIND_FFT,
-    WorkMaterializer,
-    build_subframe_work,
-    build_subtask_arrays,
-)
+from repro.timing.model import LinearTimingModel
+from repro.timing.tasks import build_subframe_work
 from repro.workload.mapping import GrantMapper
 
 MODEL = LinearTimingModel()
 MAX_ITERATIONS = 8
 
 
-def _arrays_for(mcs_list, iterations_flat, tables):
-    mcs = np.asarray(mcs_list, dtype=np.int64)
-    blocks = tables.code_blocks[mcs]
-    offsets = np.zeros(mcs.size + 1, dtype=np.int64)
-    np.cumsum(blocks, out=offsets[1:])
-    return build_subtask_arrays(
-        tables,
-        mcs,
-        np.zeros(mcs.size, dtype=np.int64),
-        np.arange(mcs.size, dtype=np.int64),
-        np.asarray(iterations_flat, dtype=np.int64),
-        offsets,
-    ), offsets
-
-
-@st.composite
-def subframe_batches(draw):
-    """A batch of (mcs, per-block iterations, crc) subframe specs."""
-    oracle = duration_oracle(MODEL, MAX_ITERATIONS)
-    tables = oracle.tables()
-    n = draw(st.integers(min_value=1, max_value=12))
-    mcs = draw(st.lists(st.integers(0, 27), min_size=n, max_size=n))
-    iterations = []
-    for m in mcs:
-        blocks = int(tables.code_blocks[m])
-        iterations.append(
-            draw(
-                st.lists(
-                    st.integers(1, MAX_ITERATIONS), min_size=blocks, max_size=blocks
-                )
-            )
-        )
-    crc = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return mcs, iterations, crc
-
-
 @settings(max_examples=60, deadline=None)
-@given(subframe_batches())
-def test_soa_round_trips_to_legacy_specs(batch):
-    """SubtaskArrays → materialize == build_subframe_work, field for field."""
-    mcs, iterations, crc = batch
-    tables = duration_oracle(MODEL, MAX_ITERATIONS).tables()
-    flat = [l for its in iterations for l in its]
-    arrays, offsets = _arrays_for(mcs, flat, tables)
-    works = arrays.materialize_works(WorkMaterializer(tables), crc)
-    assert len(works) == len(mcs)
-    for i, work in enumerate(works):
-        legacy = build_subframe_work(
-            MODEL,
-            interned_grant(mcs[i]),
-            iterations[i],
-            max_iterations=MAX_ITERATIONS,
-            crc_pass=crc[i],
+@given(st.integers(0, 27), st.data(), st.booleans())
+def test_shared_specs_carry_model_durations(mcs, data, crc):
+    """Shared specs hold exactly the Eq. (1) values for their subframe."""
+    grant = interned_grant(mcs)
+    iterations = data.draw(
+        st.lists(
+            st.integers(1, MAX_ITERATIONS),
+            min_size=grant.code_blocks,
+            max_size=grant.code_blocks,
         )
-        # Dataclass equality covers names, durations (exact floats),
-        # planned WCETs, parallelizability, iterations, and CRC.
-        assert work == legacy
-        # And the columnar view must agree with the specs row by row.
-        lo, hi = arrays.offsets[i], arrays.offsets[i + 1]
-        fft, _, decode = legacy.tasks
-        flat_specs = [(KIND_FFT, s) for s in fft.subtasks]
-        flat_specs += [(KIND_DECODE, s) for s in decode.subtasks]
-        assert hi - lo == len(flat_specs)
-        for row, (kind, spec) in zip(range(lo, hi), flat_specs):
-            assert arrays.kind[row] == kind
-            assert arrays.duration_us[row] == spec.duration_us
-            assert arrays.planned_us[row] == spec.planned_us
+    )
+    work = build_subframe_work(MODEL, grant, iterations, MAX_ITERATIONS, crc_pass=crc)
+    again = build_subframe_work(MODEL, grant, list(iterations), MAX_ITERATIONS, crc_pass=crc)
+    fft, demod, decode = work.tasks
+    assert [s.name for s in fft.subtasks] == ["fft/ant0", "fft/ant1"]
+    assert all(s.duration_us == MODEL.fft_subtask_time() for s in fft.subtasks)
+    assert demod.serial_us == MODEL.demod_task_time(2, grant.modulation_order)
+    assert decode.serial_us == MODEL.decode_prologue_time(grant.modulation_order)
+    load, blocks = grant.subcarrier_load, grant.code_blocks
+    planned = MODEL.decode_subtask_time(load, float(MAX_ITERATIONS), blocks)
+    for cb, (spec, l) in enumerate(zip(decode.subtasks, iterations)):
+        assert spec.name == f"decode/cb{cb}"
+        assert spec.duration_us == MODEL.decode_subtask_time(load, float(l), blocks)
+        assert spec.planned_us == planned
+    assert work == again and work.crc_pass is crc
+    # Equal graphs share their fft/demod tasks and every subtask.
+    assert again.tasks[0] is fft and again.tasks[1] is demod
+    assert all(a is b for a, b in zip(again.tasks[2].subtasks, decode.subtasks))
 
 
 @settings(max_examples=25, deadline=None)
@@ -112,9 +69,8 @@ def test_soa_round_trips_to_legacy_specs(batch):
 def test_draw_trace_matches_scalar_stream(mcs_list, seed, snr_db):
     """draw_trace == per-subframe draw_subframe calls, same end state."""
     model = IterationModel(max_iterations=MAX_ITERATIONS)
-    tables = duration_oracle(MODEL, MAX_ITERATIONS).tables()
     mcs = np.asarray(mcs_list, dtype=np.int64)
-    blocks = tables.code_blocks[mcs]
+    blocks = np.array([interned_grant(m).code_blocks for m in mcs_list], dtype=np.int64)
     offsets = np.zeros(mcs.size + 1, dtype=np.int64)
     np.cumsum(blocks, out=offsets[1:])
 
@@ -174,6 +130,9 @@ def test_workload_fast_path_interns_value_objects():
     assert len(grants) == len(mcs_values)  # one instance per MCS
     works = {id(j.work) for j in jobs}
     assert len(works) < len(jobs)  # repeated draws collapse
+    # One shared instance per distinct SubtaskSpec value.
+    specs = [s for j in jobs for t in j.work.tasks for s in t.subtasks]
+    assert len({id(s) for s in specs}) == len(set(specs))
 
 
 def test_custom_models_fall_back_to_legacy_builder():
