@@ -11,8 +11,9 @@ Two subcommands glue pytest-benchmark to a committed perf baseline::
 A baseline file records, per benchmark, the pytest-benchmark **median**
 in nanoseconds (the statistic least sensitive to CI-box noise), plus the
 engine's ``Simulator.stats()`` counters from a canonical RT-OPEX run
-(so structural regressions — heap growth, purge storms — are visible
-even when medians pass) and the git SHA the numbers were taken at.
+(events run and instants shared by several events, so a change in how
+much work the run schedules is visible even when medians pass) and the
+git SHA the numbers were taken at.
 
 ``compare`` fails (exit 1) when any benchmark present in the baseline
 regresses by more than ``--threshold`` (default 30%) or disappeared

@@ -1,18 +1,13 @@
 """Microbenchmarks for the discrete-event engine hot path.
 
-The profile at ``--scale 1.0`` is dominated by heap traffic in
-``sim/engine.py`` (``Event`` comparisons, per-event pops) and by the
-RT-OPEX planner.  These benchmarks isolate the engine patterns the
-schedulers actually generate so the baseline comparator
+RT-OPEX is the engine's only scheduler: its arrivals and decode starts
+are events, popped one at a time from a heap of plain tuples.  These
+benchmarks isolate the patterns it generates so the baseline comparator
 (``benchmarks/baseline.py``) can catch regressions in each one:
 
-* **churn** — schedule-then-run over a pseudo-random arrival pattern,
-  the partitioned/global scheduler shape;
+* **churn** — schedule-then-run over a pseudo-random arrival pattern;
 * **tie-groups** — many same-instant events (subframe boundaries where
-  every basestation's arrival lands on the same microsecond), the
-  pattern batch-popping accelerates;
-* **cancel** — schedule/cancel timeout churn exercising lazy-cancel
-  compaction;
+  every basestation's arrival lands on the same microsecond);
 * **feed-forward** — callbacks that schedule more work, the
   arrive -> start_decode chain.
 
@@ -65,23 +60,6 @@ def test_bench_engine_tie_groups(benchmark):
 
 
 @pytest.mark.benchmark(group="engine")
-def test_bench_engine_cancel_churn(benchmark):
-    def cancel_churn():
-        sim = Simulator()
-        fired = [0]
-        for i in range(N_EVENTS):
-            event = sim.schedule(1000.0 + i, lambda: fired.__setitem__(0, fired[0] + 1))
-            if i % 4:
-                event.cancel()
-        sim.run()
-        return sim, fired[0]
-
-    sim, executed = benchmark(cancel_churn)
-    assert executed == (N_EVENTS + 3) // 4
-    assert sim.pending() == 0
-
-
-@pytest.mark.benchmark(group="engine")
 def test_bench_engine_feed_forward(benchmark):
     def feed_forward():
         sim = Simulator()
@@ -90,7 +68,7 @@ def test_bench_engine_feed_forward(benchmark):
         def tick():
             count[0] += 1
             if count[0] < N_EVENTS:
-                sim.schedule_in(1.0, tick)
+                sim.schedule(sim.now + 1.0, tick)
 
         sim.schedule(0.0, tick)
         sim.run()

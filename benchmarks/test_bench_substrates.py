@@ -66,7 +66,7 @@ def test_bench_event_engine(benchmark):
         def tick():
             count[0] += 1
             if count[0] < 20_000:
-                sim.schedule_in(1.0, tick)
+                sim.schedule(sim.now + 1.0, tick)
 
         sim.schedule(0.0, tick)
         sim.run()

@@ -52,6 +52,8 @@ class CRanConfig:
             raise ValueError("num_basestations must be >= 1")
         if self.cores_per_bs < 1:
             raise ValueError("cores_per_bs must be >= 1")
+        if self.num_cores < 0:
+            raise ValueError(f"num_cores must be >= 0 (0 derives it), got {self.num_cores}")
         if self.transport_latency_us < 0:
             raise ValueError("transport_latency_us must be >= 0")
 

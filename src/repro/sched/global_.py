@@ -11,6 +11,8 @@ The loop itself lives in :class:`SharedQueueScheduler`; a policy only
 supplies its *queue discipline* — push, pop-next and evict-on-overflow.
 :class:`GlobalScheduler` is the EDF heap; the delay-aware baseline
 (:mod:`repro.sched.das`) reuses the same loop with an urgency order.
+The loop needs no event engine: it merges the time-sorted arrivals
+with a heap of core releases, one instant at a time.
 
 The paper's "surprising" global-scheduler behaviour comes from runtime
 overheads, which we model explicitly:
@@ -26,14 +28,13 @@ overheads, which we model explicitly:
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs.trace import RunTrace
 from repro.sched.base import CRanConfig, SchedulerResult, SubframeJob, SubframeRecord
-from repro.sim.engine import Simulator
 from repro.timing.cache import CacheAffinityModel
 
 #: Scheduling-thread cost per dispatch (semaphore signal + ring buffer).
@@ -58,6 +59,10 @@ class SharedQueueScheduler:
         queue_capacity: int = 256,
         trace: Optional[RunTrace] = None,
     ):
+        # The dispatch loop relies on a dispatch never freeing its core
+        # at the instant it was made.
+        if not dispatch_overhead_us > 0:
+            raise ValueError(f"dispatch_overhead_us must be > 0, got {dispatch_overhead_us}")
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.cache = cache_model if cache_model is not None else CacheAffinityModel()
@@ -82,30 +87,32 @@ class SharedQueueScheduler:
     # -- dispatch loop ------------------------------------------------------
 
     def run(self, jobs: Sequence[SubframeJob]) -> SchedulerResult:
-        sim = Simulator()
         trace = self.trace
         num_cores = self.config.total_cores
         core_idle: List[bool] = [True] * num_cores
         queue: List[QueueEntry] = []
         records: List[SubframeRecord] = []
         busy: Dict[int, float] = {}
-        seq_counter = [0]
+        # Busy cores as ``(finish_us, dispatch order, core)``.
+        releases: List[Tuple[float, int, int]] = []
+        dispatched = 0
         push, pop_next, evict = self.push, self.pop_next, self.evict
         self.cache.reset()
 
-        def drop(record: SubframeRecord, stage: str) -> None:
+        def drop(record: SubframeRecord, stage: str, now: float) -> None:
             record.dropped = True
             record.missed = True
             record.drop_stage = stage
-            record.start_us = sim.now
-            record.finish_us = sim.now
+            record.start_us = now
+            record.finish_us = now
             if trace is not None:
                 trace.deadline(
-                    sim.now, -1, True, record.bs_id, record.index,
+                    now, -1, True, record.bs_id, record.index,
                     drop_stage=stage, service=record.service,
                 )
 
-        def try_dispatch() -> None:
+        def dispatch(now: float) -> None:
+            nonlocal dispatched
             while queue:
                 idle = [c for c in range(num_cores) if core_idle[c]]
                 if not idle:
@@ -117,12 +124,12 @@ class SharedQueueScheduler:
                 # recreate per-BS affinity and hide the cache thrashing
                 # the paper observes.)
                 idle_core = int(idle[self.rng.integers(0, len(idle))])
-                _, _, job, record = pop_next(queue, sim.now)
-                start = sim.now + self.dispatch_overhead_us
+                _, _, job, record = pop_next(queue, now)
+                start = now + self.dispatch_overhead_us
                 # A queued subframe whose deadline cannot possibly be met
                 # any more is dropped by the dispatcher.
                 if start + job.optimistic_time_us > job.deadline_us:
-                    drop(record, "dispatch")
+                    drop(record, "dispatch", now)
                     continue
                 core_idle[idle_core] = False
                 record.core_id = idle_core
@@ -149,37 +156,47 @@ class SharedQueueScheduler:
                         finish, idle_core, record.missed, record.bs_id, record.index,
                         service=record.service,
                     )
+                heappush(releases, (finish, dispatched, idle_core))
+                dispatched += 1
 
-                def complete(core: int = idle_core) -> None:
-                    core_idle[core] = True
-                    try_dispatch()
-
-                sim.schedule(finish, complete)
-
-        def arrive(job: SubframeJob) -> None:
+        def arrive(job: SubframeJob, now: float) -> None:
             record = SubframeRecord.for_job(job)
             records.append(record)
             if trace is not None:
-                trace.arrival(job.arrival_us, -1, record.bs_id, record.index)
+                trace.arrival(now, -1, record.bs_id, record.index)
             if len(queue) >= self.queue_capacity:
                 # Ring buffer full: the transport thread can never block
                 # (sec. 4.1), so it overwrites the entry the discipline
                 # evicts.
-                victim = evict(queue, sim.now)[3]
-                drop(victim, "queue-overflow")
-            seq_counter[0] += 1
-            push(queue, (job.deadline_us, seq_counter[0], job, record))
-            # Dispatch runs after every same-instant arrival has been
-            # enqueued (priority 1 > arrivals' 0), so a burst of
-            # simultaneous subframes is dispatched in discipline order
-            # rather than the order the transport threads signalled.
-            sim.schedule(sim.now, try_dispatch, priority=1)
+                drop(evict(queue, now)[3], "queue-overflow", now)
+            push(queue, (job.deadline_us, len(records), job, record))
 
-        for job in sorted(jobs, key=lambda j: (j.arrival_us, j.subframe.bs_id)):
-            sim.schedule(job.arrival_us, lambda j=job: arrive(j))
-        sim.run()
-        if trace is not None:
-            trace.meta["sim"] = sim.stats()
+        # Merge the sorted arrivals with the core releases, one instant
+        # at a time.  Within an instant every arrival is enqueued first;
+        # then each freed core, in dispatch order, goes idle and runs a
+        # dispatch pass; then, if anything arrived, one more pass runs,
+        # so a burst of simultaneous subframes is dispatched in
+        # discipline order rather than the order the transport threads
+        # signalled.  A dispatch never frees its core at the same
+        # instant (the overhead is positive and a frame that cannot
+        # finish by its deadline is dropped), so one pass is enough.
+        arrivals = sorted(jobs, key=lambda j: (j.arrival_us, j.subframe.bs_id))
+        count = len(arrivals)
+        i = 0
+        while i < count or releases:
+            if i < count and (not releases or arrivals[i].arrival_us <= releases[0][0]):
+                now = arrivals[i].arrival_us
+            else:
+                now = releases[0][0]
+            first = i
+            while i < count and arrivals[i].arrival_us == now:
+                arrive(arrivals[i], now)
+                i += 1
+            while releases and releases[0][0] == now:
+                core_idle[heappop(releases)[2]] = True
+                dispatch(now)
+            if i > first:
+                dispatch(now)
         return SchedulerResult(
             f"{self.name}-{num_cores}", self.config, records, core_busy_us=busy
         )
@@ -197,10 +214,10 @@ class GlobalScheduler(SharedQueueScheduler):
     name = "global"
 
     def push(self, queue: List[QueueEntry], entry: QueueEntry) -> None:
-        heapq.heappush(queue, entry)
+        heappush(queue, entry)
 
     def pop_next(self, queue: List[QueueEntry], now: float) -> QueueEntry:
-        return heapq.heappop(queue)
+        return heappop(queue)
 
     def evict(self, queue: List[QueueEntry], now: float) -> QueueEntry:
-        return heapq.heappop(queue)
+        return heappop(queue)

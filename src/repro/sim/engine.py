@@ -2,39 +2,21 @@
 
 A deliberately small engine: events are ``(time, priority, seq)``-ordered
 callbacks.  Ties at the same timestamp are broken first by an explicit
-priority (so e.g. a core-release event can be guaranteed to run before a
+priority (so e.g. a decode start can be guaranteed to run after every
 same-instant arrival) and then by insertion order, which makes runs fully
 deterministic.
 
-The heap stores plain ``(time, priority, seq, event)`` tuples, so every
-sift comparison is a C-level tuple compare — no Python ``__lt__``
-dispatch on the hot path (``seq`` is unique, so the trailing event
-object is never compared).  :class:`Event` itself is a ``__slots__``
-handle kept for scheduling and cancellation.
-
-``run`` drains same-instant *tie-groups* in one pass: all entries
-sharing the head timestamp are popped together and executed in key
-order, with a single until/purge check per group instead of per event.
-A callback may schedule new work at the current instant; such entries
-are merged into the executing group at their proper key position, so
-batching is invisible to the schedule's semantics.
-
-Cancellation is lazy — ``Event.cancel`` only flags the entry — but the
-heap is compacted whenever flagged entries outnumber live ones (beyond a
-small floor), so long runs that cancel aggressively stay bounded by the
-live-event population instead of leaking every dead entry until drain.
-While ``run`` is draining, compaction is deferred to the next tie-group
-boundary, amortizing one rebuild over every cancellation the group
-caused.  A live-event counter is maintained incrementally, making
-``pending()`` O(1) instead of an O(n) scan.
+The heap stores plain ``(time, priority, seq, callback)`` tuples, so every
+sift comparison is a C-level tuple compare (``seq`` is unique, so the
+trailing callback is never compared).  ``run`` pops them one at a time;
+a callback may schedule new work at the current instant, and it runs in
+its key order within that instant.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 #: Relative component of the schedule-in-the-past tolerance.  Float
 #: microsecond timestamps accumulate rounding of a few ulps over long
@@ -44,98 +26,8 @@ RELATIVE_EPSILON = 1e-12
 #: Absolute floor of the tolerance (the original fixed guard).
 ABSOLUTE_EPSILON = 1e-9
 
-#: Compaction floor: never rebuild the heap over fewer dead entries.
-_MIN_PURGE = 16
-
-#: Heap entry: ``(time, priority, seq, event)``.
-_Entry = Tuple[float, int, int, "Event"]
-
-
-class Event:
-    """A scheduled callback; comparison order defines execution order."""
-
-    __slots__ = ("time", "priority", "seq", "callback", "cancelled",
-                 "_owner", "_queued", "_in_batch")
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[[], None],
-        cancelled: bool = False,
-        owner: Optional["Simulator"] = None,
-    ):
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = cancelled
-        #: Owning simulator, so ``cancel`` can keep its live count exact.
-        self._owner = owner
-        #: Whether the entry still sits in the owner's heap.
-        self._queued = owner is not None
-        #: Whether the entry sits in the tie-group ``run`` is draining.
-        self._in_batch = False
-
-    def __repr__(self) -> str:
-        return (
-            f"Event(time={self.time!r}, priority={self.priority!r}, "
-            f"seq={self.seq!r}, cancelled={self.cancelled!r})"
-        )
-
-    def _key(self) -> Tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "Event") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "Event") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "Event") -> bool:
-        return self._key() >= other._key()
-
-    def cancel(self) -> None:
-        """Mark the event dead; it will be skipped when popped.
-
-        Bookkeeping is inlined rather than delegated to the owner: the
-        cancel path is hot in timeout-churn workloads.  A still-queued
-        entry becomes a dead heap entry awaiting compaction; an entry in
-        the tie-group ``run`` is currently draining is already out of
-        the heap, so only the live count drops and the drain loop skips
-        it.  Compaction triggers once dead entries outnumber live ones
-        (beyond the ``_MIN_PURGE`` floor), deferred to the next group
-        boundary while ``run`` is active.
-        """
-        if self.cancelled:
-            return
-        self.cancelled = True
-        owner = self._owner
-        if owner is None:
-            return
-        if self._queued:
-            owner._live -= 1
-            queue = owner._queue
-            if queue[-1][3] is self:
-                # Tail entry: removing the last list element never
-                # violates the heap invariant, so the common
-                # schedule-then-cancel timeout shape costs O(1) and
-                # leaves nothing to compact.
-                queue.pop()
-                self._queued = False
-                return
-            dead = owner._dead = owner._dead + 1
-            if dead >= _MIN_PURGE and dead * 2 > len(queue):
-                if owner._running:
-                    owner._purge_pending = True
-                else:
-                    owner._purge()
-        elif self._in_batch:
-            owner._live -= 1
+#: Heap entry: ``(time, priority, seq, callback)``.
+_Entry = Tuple[float, int, int, Callable[[], None]]
 
 
 class Simulator:
@@ -146,12 +38,7 @@ class Simulator:
         self._seq = 0
         self._now = 0.0
         self._running = False
-        self._live = 0  # non-cancelled entries in the heap or current batch
-        self._dead = 0  # cancelled entries awaiting compaction
         self._executed = 0
-        self._purges = 0
-        self._purge_pending = False
-        self._max_heap = 0
         self._batch_pops = 0
 
     @property
@@ -159,7 +46,7 @@ class Simulator:
         """Current virtual time in microseconds."""
         return self._now
 
-    def schedule(self, time: float, callback: Callable[[], None], priority: int = 0) -> Event:
+    def schedule(self, time: float, callback: Callable[[], None], priority: int = 0) -> None:
         """Schedule ``callback`` at absolute virtual ``time``.
 
         Scheduling in the past is a logic error and raises immediately —
@@ -174,201 +61,42 @@ class Simulator:
                 raise ValueError(f"cannot schedule at {time} before now={now}")
             time = now
         seq = self._seq = self._seq + 1
-        # Inline Event construction: schedule is the single hottest
-        # entry point, and bypassing __init__ saves a Python call per
-        # event.  Keep the slot stores in sync with Event.__init__.
-        event = Event.__new__(Event)
-        event.time = time
-        event.priority = priority
-        event.seq = seq
-        event.callback = callback
-        event.cancelled = False
-        event._owner = self
-        event._queued = True
-        event._in_batch = False
-        queue = self._queue
-        heappush(queue, (time, priority, seq, event))
-        self._live += 1
-        if len(queue) > self._max_heap:
-            self._max_heap = len(queue)
-        return event
+        heappush(self._queue, (time, priority, seq, callback))
 
-    def schedule_in(self, delay: float, callback: Callable[[], None], priority: int = 0) -> Event:
-        """Schedule ``callback`` after ``delay`` microseconds.
+    def run(self) -> float:
+        """Run events until the queue drains; return the final virtual time.
 
-        A full inline of :meth:`schedule` (minus the past-check, which a
-        non-negative delay cannot trip: ``now + delay >= now`` under
-        IEEE rounding): callbacks re-arming themselves make this the
-        other hot entry point, and the delegation frame is measurable.
-        Keep the slot stores in sync with Event.__init__.
-        """
-        if delay < 0:
-            raise ValueError("delay must be >= 0")
-        time = self._now + delay
-        seq = self._seq = self._seq + 1
-        event = Event.__new__(Event)
-        event.time = time
-        event.priority = priority
-        event.seq = seq
-        event.callback = callback
-        event.cancelled = False
-        event._owner = self
-        event._queued = True
-        event._in_batch = False
-        queue = self._queue
-        heappush(queue, (time, priority, seq, event))
-        self._live += 1
-        if len(queue) > self._max_heap:
-            self._max_heap = len(queue)
-        return event
-
-    def run(self, until: Optional[float] = None) -> float:
-        """Run events until the queue drains or virtual ``until`` passes.
-
-        Returns the final virtual time.  Re-entrant calls are rejected —
-        callbacks must schedule, not run, further work.
+        Re-entrant calls are rejected — callbacks must schedule, not run,
+        further work.  If a callback raises, the events not yet run stay
+        queued for a later ``run``.
         """
         if self._running:
             raise RuntimeError("Simulator.run is not re-entrant")
         self._running = True
         queue = self._queue
-        batch: List[_Entry] = []
-        # Float sentinel so the drain loop pays one compare per
-        # iteration instead of a None-check plus a compare.
-        horizon = math.inf if until is None else until
+        now = self._now
+        ran = 0  # events run so far at instant ``now``
         try:
             while queue:
-                if self._purge_pending:
-                    self._maybe_purge()
-                head_time = queue[0][0]
-                if head_time > horizon:
-                    # Unreachable for an infinite horizon, so this is
-                    # always the caller's finite ``until``.
-                    self._now = horizon
-                    break
-                entry = heappop(queue)
-                event = entry[3]
-                event._queued = False
-                if event.cancelled:
-                    self._dead -= 1
-                    continue
-                if not queue or queue[0][0] != head_time:
-                    # Fast path: the instant holds a single live event, so
-                    # no batch bookkeeping is needed.  Anything its
-                    # callback schedules lands in the heap and is seen by
-                    # the next outer iteration in key order.
-                    self._now = head_time
-                    self._live -= 1
-                    self._executed += 1
-                    event.callback()
-                    continue
-                # Pop the rest of the tie-group at ``head_time`` in one
-                # pass: successive heappops yield it already key-sorted,
-                # and dead entries are dropped as they surface.
-                del batch[:]
-                event._in_batch = True
-                batch.append(entry)
-                while queue and queue[0][0] == head_time:
-                    entry = heappop(queue)
-                    event = entry[3]
-                    event._queued = False
-                    if event.cancelled:
-                        self._dead -= 1
-                        continue
-                    event._in_batch = True
-                    batch.append(entry)
-                self._now = head_time
-                if len(batch) > 1:
-                    self._batch_pops += 1
-                index = 0
-                try:
-                    while index < len(batch):
-                        entry = batch[index]
-                        event = entry[3]
-                        # A callback earlier in this group may have
-                        # scheduled same-instant work that sorts before
-                        # the next batch entry; merge it in key order.
-                        while queue and queue[0] < entry:
-                            interloper = heappop(queue)[3]
-                            interloper._queued = False
-                            if interloper.cancelled:
-                                self._dead -= 1
-                                continue
-                            self._live -= 1
-                            self._executed += 1
-                            interloper.callback()
-                        index += 1
-                        event._in_batch = False
-                        if event.cancelled:
-                            # Cancelled mid-drain: counters were already
-                            # settled by ``_on_batch_cancel``.
-                            continue
-                        self._live -= 1
-                        self._executed += 1
-                        event.callback()
-                except BaseException:
-                    # A callback raised mid-group: return the unexecuted
-                    # tail to the heap so a later run() still sees it.
-                    self._repatriate(batch, index)
-                    raise
-            else:
-                if until is not None:
-                    self._now = max(self._now, until)
+                time, _, _, callback = heappop(queue)
+                if time != now:
+                    if ran > 1:
+                        self._batch_pops += 1
+                    self._now = now = time
+                    ran = 0
+                ran += 1
+                self._executed += 1
+                callback()
         finally:
+            if ran > 1:
+                self._batch_pops += 1
             self._running = False
-            if self._purge_pending:
-                self._maybe_purge()
-        return self._now
-
-    def pending(self) -> int:
-        """Number of live events still queued (O(1))."""
-        return self._live
+        return now
 
     def stats(self) -> Dict[str, int]:
-        """Engine counters for telemetry/trace metadata."""
-        return {
-            "executed": self._executed,
-            "live": self._live,
-            "cancelled_pending": self._dead,
-            "heap_size": len(self._queue),
-            "max_heap_size": self._max_heap,
-            "purges": self._purges,
-            "batch_pops": self._batch_pops,
-        }
+        """Engine counters for telemetry and trace metadata.
 
-    # -- cancellation bookkeeping --------------------------------------------
-
-    def _maybe_purge(self) -> None:
-        """Deferred compaction: re-check the threshold at a safe point."""
-        self._purge_pending = False
-        if self._dead >= _MIN_PURGE and self._dead * 2 > len(self._queue):
-            self._purge()
-
-    def _purge(self) -> None:
-        """Drop every cancelled entry and re-heapify the survivors.
-
-        In place, so ``run``'s local alias of the queue stays valid.
+        ``executed`` counts callbacks run; ``batch_pops`` counts the
+        instants at which more than one of them ran.
         """
-        queue = self._queue
-        live = []
-        for entry in queue:
-            if entry[3].cancelled:
-                entry[3]._queued = False
-            else:
-                live.append(entry)
-        queue[:] = live
-        heapq.heapify(queue)
-        self._dead = 0
-        self._purges += 1
-
-    def _repatriate(self, batch: List[_Entry], start: int) -> None:
-        """Re-queue a tie-group's unexecuted tail after an exception."""
-        for entry in batch[start:]:
-            event = entry[3]
-            event._in_batch = False
-            event._queued = True
-            heappush(self._queue, entry)
-            if event.cancelled:
-                # Cancelled while in the batch: it re-enters the heap as
-                # a dead entry awaiting compaction.
-                self._dead += 1
+        return {"executed": self._executed, "batch_pops": self._batch_pops}

@@ -30,6 +30,14 @@ class TestCRanConfig:
         with pytest.raises(ValueError):
             CRanConfig(cores_per_bs=0)
 
+    def test_negative_core_count_rejected(self):
+        # A negative pool used to reach the shared-queue loop as zero
+        # cores: every frame stayed queued, unprocessed, and counted as
+        # a hit.  Zero still means "derive from the basestations".
+        with pytest.raises(ValueError, match="-1"):
+            CRanConfig(num_cores=-1)
+        assert CRanConfig(num_cores=0).total_cores == 8
+
 
 class TestPlacement:
     def test_paper_mapping_rule(self):

@@ -11,7 +11,7 @@ from repro.sched.runner import TRACEABLE_SCHEDULERS
 from repro.workload.classes import parse_class_spec
 from repro.workload.mixed import build_mixed_workload
 
-from tests.helpers import make_job
+from tests.helpers import make_job, same_instant_cases
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +189,67 @@ class TestVerdictRollup:
         rollup = deadline_verdicts_by_class(result.trace_run)
         assert list(rollup) == ["embb"]
         assert rollup["embb"] == deadline_verdicts(result.trace_run)
+
+
+#: Per record ``(core_id, start_us, finish_us, dropped, drop_stage)`` and
+#: the PCG64 state after the run, for the cases of
+#: :func:`tests.helpers.same_instant_cases`.  They pin the order of work
+#: within one instant: the arrivals are enqueued (evicting on overflow),
+#: then each freed core dispatches in dispatch order, then one more
+#: dispatch pass runs for the arrivals.
+SAME_INSTANT_PINS = {
+    "release_with_room": (
+        [
+            (2, 512.0, 1612.0, False, None),
+            (1, 512.0, 2500.0, False, None),
+            (2, 1624.0, 2141.6257142857144, False, None),
+            (0, 1624.0, 2202.6373542295, False, None),
+            (2, 2153.6257142857144, 2772.400169749167, False, None),
+        ],
+        {
+            "state": 57900626327182248810360271475404325290,
+            "inc": 261136684632268670825940853076396136793,
+        },
+    ),
+    "release_with_full_queue": (
+        [
+            (1, 512.0, 1612.0, False, None),
+            (0, 512.0, 2500.0, False, None),
+            (1, 1624.0, 2197.390217585056, False, None),
+            (-1, 1612.0, 1612.0, True, "queue-overflow"),
+            (1, 2209.390217585056, 2788.027571814556, False, None),
+        ],
+        {
+            "state": 69277902251545625047243999639177715869,
+            "inc": 261136684632268670825940853076396136793,
+        },
+    ),
+    "two_releases_two_arrivals": (
+        [
+            (3, 512.0, 1612.0, False, None),
+            (1, 512.0, 1612.0, False, None),
+            (2, 512.0, 2500.0, False, None),
+            (0, 1624.0, 2242.774455463453, False, None),
+            (3, 1624.0, 2181.9942856053044, False, None),
+        ],
+        {
+            "state": 139799895654695709117998950296139720747,
+            "inc": 261136684632268670825940853076396136793,
+        },
+    ),
+}
+
+
+class TestSameInstantOrder:
+    @pytest.mark.parametrize("case", sorted(SAME_INSTANT_PINS))
+    def test_release_and_arrival_at_one_instant(self, case):
+        jobs, cores, capacity = same_instant_cases()[case]
+        expected_records, expected_state = SAME_INSTANT_PINS[case]
+        rng = np.random.default_rng(7)
+        cfg = CRanConfig(transport_latency_us=500.0, num_cores=cores)
+        result = DelayAwareScheduler(cfg, rng=rng, queue_capacity=capacity).run(jobs)
+        assert [
+            (r.core_id, r.start_us, r.finish_us, r.dropped, r.drop_stage)
+            for r in result.records
+        ] == expected_records
+        assert rng.bit_generator.state["state"] == expected_state

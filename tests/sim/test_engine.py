@@ -38,42 +38,6 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.run()
 
-    def test_schedule_in_relative(self):
-        sim = Simulator()
-        log = []
-        sim.schedule(10.0, lambda: sim.schedule_in(5.0, lambda: log.append(sim.now)))
-        sim.run()
-        assert log == [15.0]
-
-    def test_negative_delay_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            sim.schedule_in(-1.0, lambda: None)
-
-    def test_cancel(self):
-        sim = Simulator()
-        log = []
-        event = sim.schedule(10.0, lambda: log.append("x"))
-        event.cancel()
-        sim.run()
-        assert log == []
-
-    def test_run_until_stops_early(self):
-        sim = Simulator()
-        log = []
-        sim.schedule(10.0, lambda: log.append("a"))
-        sim.schedule(100.0, lambda: log.append("b"))
-        sim.run(until=50.0)
-        assert log == ["a"]
-        assert sim.now == 50.0
-        sim.run()
-        assert log == ["a", "b"]
-
-    def test_run_until_advances_clock_on_empty_queue(self):
-        sim = Simulator()
-        sim.run(until=42.0)
-        assert sim.now == 42.0
-
     def test_callbacks_can_schedule_more(self):
         sim = Simulator()
         log = []
@@ -81,20 +45,12 @@ class TestScheduling:
         def chain(n):
             log.append(n)
             if n < 5:
-                sim.schedule_in(1.0, lambda: chain(n + 1))
+                sim.schedule(sim.now + 1.0, lambda: chain(n + 1))
 
         sim.schedule(0.0, lambda: chain(0))
         sim.run()
         assert log == [0, 1, 2, 3, 4, 5]
         assert sim.now == 5.0
-
-    def test_pending_counts_live_events(self):
-        sim = Simulator()
-        e1 = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        assert sim.pending() == 2
-        e1.cancel()
-        assert sim.pending() == 1
 
     def test_not_reentrant(self):
         sim = Simulator()
@@ -120,206 +76,6 @@ class TestScheduling:
             return log
 
         assert run_once() == run_once()
-
-
-class TestHeapCompaction:
-    def test_cancelled_events_do_not_accumulate(self):
-        # Regression: cancelled entries used to sit in the heap until
-        # popped, so a workload that schedules and cancels N timeouts
-        # grew the heap to N.  With lazy compaction the heap stays
-        # bounded by the live population (x2 plus the purge floor).
-        sim = Simulator()
-        keep = sim.schedule(1e9, lambda: None)
-        for i in range(10_000):
-            event = sim.schedule(1000.0 + i, lambda: None)
-            event.cancel()
-        assert sim.pending() == 1
-        assert len(sim._queue) <= 2 * sim.pending() + 16
-        keep.cancel()
-
-    def test_purge_preserves_execution_order(self):
-        sim = Simulator()
-        log = []
-        events = [
-            sim.schedule(float(i), lambda i=i: log.append(i)) for i in range(100)
-        ]
-        for i, event in enumerate(events):
-            if i % 3:
-                event.cancel()
-        sim.run()
-        assert log == [i for i in range(100) if not i % 3]
-
-    def test_pending_is_live_counter(self):
-        sim = Simulator()
-        events = [sim.schedule(float(i + 1), lambda: None) for i in range(50)]
-        assert sim.pending() == 50
-        for event in events[:30]:
-            event.cancel()
-        assert sim.pending() == 20
-        sim.run()
-        assert sim.pending() == 0
-
-    def test_double_cancel_counts_once(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert sim.pending() == 1
-
-    def test_cancel_after_execution_is_harmless(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        sim.run()
-        event.cancel()  # already popped: must not corrupt the counters
-        assert sim.pending() == 0
-        assert sim.stats()["cancelled_pending"] == 0
-
-    def test_stats_counters(self):
-        sim = Simulator()
-        done = sim.schedule(1.0, lambda: None)
-        dead = sim.schedule(2.0, lambda: None)
-        dead.cancel()
-        sim.run()
-        stats = sim.stats()
-        assert stats["executed"] == 1
-        assert stats["live"] == 0
-        assert stats["heap_size"] == 0
-        assert stats["max_heap_size"] == 2
-        assert done.cancelled is False
-
-    def test_purge_counted_in_stats(self):
-        # Cancel older (non-tail) entries so dead ones accumulate in the
-        # heap and compaction has to fire.
-        sim = Simulator()
-        events = [sim.schedule(float(i + 1), lambda: None) for i in range(100)]
-        for event in events[:90]:
-            event.cancel()
-        assert sim.stats()["purges"] >= 1
-        assert sim.stats()["heap_size"] <= 2 * sim.pending() + 16
-
-    def test_tail_cancel_pops_immediately(self):
-        # schedule-then-cancel of the newest event is removed outright:
-        # no dead entry lingers and no compaction is ever needed.
-        sim = Simulator()
-        for i in range(100):
-            sim.schedule(float(i + 1), lambda: None).cancel()
-        assert sim.stats()["heap_size"] == 0
-        assert sim.stats()["cancelled_pending"] == 0
-        assert sim.stats()["purges"] == 0
-
-
-class TestBatchDrainEdgeCases:
-    def test_purge_deferred_during_batch_drain(self):
-        # A callback inside a tie-group cancels enough future (non-tail)
-        # entries to trip the compaction threshold.  The purge must be
-        # deferred past the draining group — compacting the heap out
-        # from under the drain loop — and still happen afterwards.
-        sim = Simulator()
-        log = []
-        future = [sim.schedule(100.0 + i, lambda: None) for i in range(60)]
-        sim.schedule(200.0, lambda: log.append("survivor"))
-
-        def cancel_many():
-            log.append("canceller")
-            for event in future:
-                event.cancel()
-
-        sim.schedule(10.0, cancel_many)
-        sim.schedule(10.0, lambda: log.append("peer"))
-        sim.run()
-        assert log == ["canceller", "peer", "survivor"]
-        stats = sim.stats()
-        assert stats["purges"] >= 1
-        assert stats["cancelled_pending"] == 0
-        assert stats["heap_size"] == 0
-
-    def test_cancel_within_draining_tie_group(self):
-        # The first member of a tie-group cancels a later member that
-        # has already been popped into the batch: it must be skipped,
-        # and the live counter must stay exact.
-        sim = Simulator()
-        log = []
-        handles = {}
-
-        def first():
-            log.append("a")
-            handles["c"].cancel()
-
-        sim.schedule(10.0, first)
-        sim.schedule(10.0, lambda: log.append("b"))
-        handles["c"] = sim.schedule(10.0, lambda: log.append("c"))
-        sim.schedule(10.0, lambda: log.append("d"))
-        sim.run()
-        assert log == ["a", "b", "d"]
-        assert sim.pending() == 0
-        assert sim.stats()["executed"] == 3
-
-    def test_cancel_next_batch_member(self):
-        # Cancelling the immediately-next member mid-drain is the
-        # tightest case: no other event sits between canceller and
-        # victim.
-        sim = Simulator()
-        log = []
-        handles = {}
-        sim.schedule(10.0, lambda: handles["b"].cancel())
-        handles["b"] = sim.schedule(10.0, lambda: log.append("b"))
-        sim.schedule(10.0, lambda: log.append("c"))
-        sim.run()
-        assert log == ["c"]
-
-    def test_until_landing_on_tie_group_runs_whole_group(self):
-        # run(until=T) with a tie-group exactly at T: the whole group
-        # executes (the horizon check is strict), including same-instant
-        # work the group's callbacks schedule, and now stops at T.
-        sim = Simulator()
-        log = []
-
-        def spawn_same_instant():
-            log.append("first")
-            sim.schedule(10.0, lambda: log.append("spawned"))
-
-        sim.schedule(10.0, spawn_same_instant)
-        sim.schedule(10.0, lambda: log.append("second"))
-        sim.schedule(20.0, lambda: log.append("later"))
-        sim.run(until=10.0)
-        # "spawned" carries a later seq than "second", so key order puts
-        # it last within the instant — but still inside this run().
-        assert log == ["first", "second", "spawned"]
-        assert sim.now == 10.0
-        sim.run()
-        assert log == ["first", "second", "spawned", "later"]
-
-    def test_until_just_below_tie_group_leaves_it_queued(self):
-        sim = Simulator()
-        log = []
-        sim.schedule(10.0, lambda: log.append("a"))
-        sim.schedule(10.0, lambda: log.append("b"))
-        sim.run(until=10.0 - 1e-6)
-        assert log == []
-        assert sim.now == 10.0 - 1e-6
-        assert sim.pending() == 2
-        sim.run()
-        assert log == ["a", "b"]
-
-    def test_exception_mid_group_repatriates_tail(self):
-        # A raising callback mid-group must return the unexecuted tail
-        # to the heap so a later run() still sees it.
-        sim = Simulator()
-        log = []
-        sim.schedule(10.0, lambda: log.append("ok"))
-
-        def boom():
-            raise RuntimeError("boom")
-
-        sim.schedule(10.0, boom)
-        sim.schedule(10.0, lambda: log.append("tail"))
-        with pytest.raises(RuntimeError):
-            sim.run()
-        assert log == ["ok"]
-        assert sim.pending() == 1
-        sim.run()
-        assert log == ["ok", "tail"]
 
 
 class TestPastScheduleTolerance:
@@ -371,3 +127,57 @@ class TestPastScheduleTolerance:
         first = run_once()
         assert first == (2000, 1999)
         assert run_once() == first
+
+
+class TestSameInstant:
+    def test_same_instant_work_from_callback_runs_in_key_order(self):
+        # Work a callback schedules at the current instant runs within
+        # that instant, in (priority, seq) order among what is left of
+        # it: a priority-0 spawn overtakes a queued priority-1 peer, a
+        # priority-2 spawn runs after it, and later instants wait.
+        sim = Simulator()
+        log = []
+
+        def spawn():
+            log.append("first")
+            sim.schedule(sim.now, lambda: log.append("spawned-late"), priority=2)
+            sim.schedule(sim.now, lambda: log.append("spawned-early"))
+
+        sim.schedule(10.0, spawn)
+        sim.schedule(10.0, lambda: log.append("peer"), priority=1)
+        sim.schedule(20.0, lambda: log.append("later"))
+        sim.run()
+        assert log == ["first", "spawned-early", "peer", "spawned-late", "later"]
+
+    def test_exception_leaves_unrun_events_queued(self):
+        # A raising callback ends run(); the events it did not reach stay
+        # queued, and a later run() runs them.
+        sim = Simulator()
+        log = []
+        sim.schedule(10.0, lambda: log.append("ok"))
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule(10.0, boom)
+        sim.schedule(10.0, lambda: log.append("tail"))
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert log == ["ok"]
+        sim.run()
+        assert log == ["ok", "tail"]
+
+
+class TestStats:
+    def test_stats_counts_events_and_shared_instants(self):
+        # Six events, one of them spawned by a callback, over three
+        # instants, two of which run more than one event.
+        sim = Simulator()
+        sim.schedule(0.0, lambda: None)
+        sim.schedule(0.0, lambda: sim.schedule(sim.now, lambda: None))
+        sim.schedule(5.0, lambda: None)
+        sim.schedule(7.0, lambda: None)
+        sim.schedule(7.0, lambda: None, priority=1)
+        assert sim.stats() == {"executed": 0, "batch_pops": 0}
+        assert sim.run() == 7.0
+        assert sim.stats() == {"executed": 6, "batch_pops": 2}
