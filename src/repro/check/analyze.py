@@ -1,17 +1,9 @@
 """Whole-program flow analysis: ``python -m repro.check analyze``.
 
-Four passes over the :mod:`repro.check.graph` project graph, each one a
-rule (RTX007–RTX010) targeting a *cross-module* determinism hazard the
+Three passes over the :mod:`repro.check.graph` project graph, each one a
+rule (RTX008–RTX010) targeting a *cross-module* determinism hazard the
 per-file lint cannot see:
 
-* **RTX007 cache-key completeness** — every option an experiment
-  declares (``register(options=...)`` / the CLI ``_OPTION_FLAGS``
-  table) must flow into ``WorkUnit.params``, because params are the
-  result-cache key: an option that changes results without changing the
-  key serves stale cache hits.  Traced by tainting reads of the
-  ``options`` mapping inside ``SweepSpec.units`` and following
-  assignments, loops, and same-module helper calls into the params
-  dict.
 * **RTX008 parallel shared-state** — module-level mutables (and
   default-argument aliases) mutated inside any function reachable from
   a process-pool submission.  Reachability includes dynamic dispatch
@@ -29,21 +21,22 @@ per-file lint cannot see:
   per-kind ``EVENT_ARG_FIELDS`` set; emit-helper calls must use the
   helper's real signature.
 
-Findings render exactly like lint findings (``path:line:col RTXnnn``),
-honour inline ``# repro-check: allow`` waivers, and can be suppressed
-via a committed baseline file (``--baseline``, default
-``.repro-check-baseline.json``) so the gate is adoptable on a tree with
-known accepted findings.  ``--format json`` emits a machine-readable
-report for CI artifacts.
+The cache-key completeness pass is retired: the runtime now puts every
+declared experiment option into each result-cache key itself, so there
+is nothing left for a pass to police.  Its id is not reused.
+
+Findings render exactly like lint findings (``path:line:col RTXnnn``)
+and honour inline ``# repro-check: allow`` waivers, the one way to
+accept a finding.  ``--format json`` emits a machine-readable report
+for CI artifacts.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.check.graph import (
     FunctionInfo,
@@ -54,14 +47,10 @@ from repro.check.graph import (
 from repro.check.lint import Finding, apply_waivers
 from repro.check.parse import ParsedModule, PathLike, load_modules
 from repro.check.rules import (
-    CACHE_KEY_COMPLETENESS,
     PARALLEL_SHARED_STATE,
     TRACE_EMIT_CONFORMANCE,
     UNIT_FLOW,
 )
-
-#: Default committed baseline file, looked up relative to the cwd.
-DEFAULT_BASELINE = ".repro-check-baseline.json"
 
 # -- shared context -----------------------------------------------------------
 
@@ -85,292 +74,6 @@ class AnalysisContext:
                 message=message,
             )
         )
-
-
-# -- RTX007: cache-key completeness ------------------------------------------
-
-
-class _OptionTaint:
-    """Forward taint of ``options.get("name")`` reads through one
-    function (and same-module helpers it passes tainted values to)."""
-
-    def __init__(self, ctx: AnalysisContext, graph: ProjectGraph):
-        self.ctx = ctx
-        self.graph = graph
-        #: option names whose taint reached a WorkUnit params value.
-        self.flowed: Set[str] = set()
-
-    def run(self, info: FunctionInfo, options_param: str) -> Set[str]:
-        seeds = {options_param: frozenset({"*options*"})}
-        self._analyze(info, seeds, depth=0, seen=set())
-        return self.flowed
-
-    # The taint domain: each variable maps to the set of option names it
-    # (transitively) derives from.  ``"*options*"`` marks the mapping
-    # itself, whose .get()/[] reads mint concrete option taints.
-
-    def _analyze(
-        self,
-        info: FunctionInfo,
-        param_taint: Mapping[str, FrozenSet[str]],
-        depth: int,
-        seen: Set[str],
-    ) -> None:
-        if depth > 5 or info.qualname in seen:
-            return
-        seen = seen | {info.qualname}
-        env: Dict[str, FrozenSet[str]] = dict(param_taint)
-        body = getattr(info.node, "body", [])
-        # Two passes reach taint through loops (later stmts feeding
-        # earlier loop targets); the domain is finite so this converges.
-        for _ in range(2):
-            for stmt in body:
-                self._stmt(stmt, env, info, depth, seen)
-
-    def _stmt(self, stmt, env, info, depth, seen) -> None:
-        if isinstance(stmt, ast.Assign):
-            taint = self._expr(stmt.value, env, info, depth, seen)
-            for target in stmt.targets:
-                self._bind(target, taint, env)
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            self._bind(stmt.target, self._expr(stmt.value, env, info, depth, seen), env)
-        elif isinstance(stmt, ast.AugAssign):
-            taint = self._expr(stmt.value, env, info, depth, seen)
-            if isinstance(stmt.target, ast.Name):
-                env[stmt.target.id] = env.get(stmt.target.id, frozenset()) | taint
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._bind(stmt.target, self._expr(stmt.iter, env, info, depth, seen), env)
-            for sub in stmt.body + stmt.orelse:
-                self._stmt(sub, env, info, depth, seen)
-        elif isinstance(stmt, (ast.If, ast.While)):
-            self._expr(stmt.test, env, info, depth, seen)
-            for sub in stmt.body + stmt.orelse:
-                self._stmt(sub, env, info, depth, seen)
-        elif isinstance(stmt, ast.With):
-            for sub in stmt.body:
-                self._stmt(sub, env, info, depth, seen)
-        elif isinstance(stmt, ast.Try):
-            for sub in stmt.body + stmt.orelse + stmt.finalbody:
-                self._stmt(sub, env, info, depth, seen)
-            for handler in stmt.handlers:
-                for sub in handler.body:
-                    self._stmt(sub, env, info, depth, seen)
-        elif isinstance(stmt, (ast.Return, ast.Expr)):
-            if stmt.value is not None:
-                self._expr(stmt.value, env, info, depth, seen)
-
-    def _bind(self, target: ast.expr, taint: FrozenSet[str], env) -> None:
-        if isinstance(target, ast.Name):
-            env[target.id] = taint
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._bind(element, taint, env)
-
-    def _expr(self, node: ast.expr, env, info, depth, seen) -> FrozenSet[str]:
-        if isinstance(node, ast.Name):
-            return env.get(node.id, frozenset())
-        if isinstance(node, ast.Subscript):
-            base = self._expr(node.value, env, info, depth, seen)
-            if "*options*" in base:
-                key = node.slice
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    return frozenset({key.value})
-            index = (
-                self._expr(node.slice, env, info, depth, seen)
-                if isinstance(node.slice, ast.expr) else frozenset()
-            )
-            return base | index
-        if isinstance(node, ast.Call):
-            return self._call(node, env, info, depth, seen)
-        if isinstance(node, ast.Attribute):
-            return self._expr(node.value, env, info, depth, seen)
-        if isinstance(
-            node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
-        ):
-            # Comprehension targets bind the iterable's taint, so
-            # `[WorkUnit(params={"a": v}) for v in values]` flows.
-            local = dict(env)
-            for comp in node.generators:
-                iter_taint = self._expr(comp.iter, local, info, depth, seen)
-                self._bind(comp.target, iter_taint, local)
-                for cond in comp.ifs:
-                    self._expr(cond, local, info, depth, seen)
-            if isinstance(node, ast.DictComp):
-                return self._expr(node.key, local, info, depth, seen) | self._expr(
-                    node.value, local, info, depth, seen
-                )
-            return self._expr(node.elt, local, info, depth, seen)
-        taint: FrozenSet[str] = frozenset()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.expr):
-                taint = taint | self._expr(child, env, info, depth, seen)
-        return taint
-
-    def _call(self, node: ast.Call, env, info, depth, seen) -> FrozenSet[str]:
-        # options.get("name"[, default]) mints the concrete taint.
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "get":
-            base = self._expr(node.func.value, env, info, depth, seen)
-            if "*options*" in base and node.args:
-                key = node.args[0]
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    extra = (
-                        self._expr(node.args[1], env, info, depth, seen)
-                        if len(node.args) > 1 else frozenset()
-                    )
-                    return frozenset({key.value}) | extra
-
-        arg_taints = [self._expr(arg, env, info, depth, seen) for arg in node.args]
-        kw_taints = {
-            kw.arg: self._expr(kw.value, env, info, depth, seen)
-            for kw in node.keywords if kw.arg is not None
-        }
-        combined = frozenset().union(*arg_taints, *kw_taints.values()) if (
-            arg_taints or kw_taints
-        ) else frozenset()
-
-        name = dotted_name(node.func)
-        if name is not None:
-            # WorkUnit(...): record which option taints reach the cache
-            # key — the params dict values, and the unit key string
-            # (cache.key hashes both).
-            if name.split(".")[-1] == "WorkUnit":
-                params_value = kw_taints.get("params")
-                params_node = next(
-                    (kw.value for kw in node.keywords if kw.arg == "params"), None
-                )
-                if params_node is None and len(node.args) >= 3:
-                    params_node = node.args[2]
-                    params_value = arg_taints[2] if len(arg_taints) > 2 else None
-                if params_node is not None:
-                    if isinstance(params_node, ast.Dict):
-                        for value in params_node.values:
-                            self.flowed |= self._expr(value, env, info, depth, seen)
-                    elif params_value:
-                        self.flowed |= params_value
-                key_taint = kw_taints.get("key")
-                if key_taint is None and len(node.args) >= 2:
-                    key_taint = arg_taints[1]
-                if key_taint:
-                    self.flowed |= key_taint
-                return combined
-            # Same-module helper: push taint through its parameters.
-            callee = self.graph.resolve_function(info.module, name)
-            if callee is not None and callee.module == info.module and combined:
-                callee_taint: Dict[str, FrozenSet[str]] = {}
-                for param, taint in zip(callee.params, arg_taints):
-                    if taint:
-                        callee_taint[param] = taint
-                for param, taint in kw_taints.items():
-                    if taint and param in callee.all_params:
-                        callee_taint[param] = taint
-                if callee_taint:
-                    self._analyze(callee, callee_taint, depth + 1, seen)
-        return combined
-
-
-def check_cache_keys(ctx: AnalysisContext) -> None:
-    graph = ctx.graph
-    rule = CACHE_KEY_COMPLETENESS
-
-    declared_options: Set[str] = set()
-    for exp_id in sorted(graph.experiments):
-        exp = graph.experiments[exp_id]
-        declared_options.update(exp.options)
-        if not exp.options:
-            continue
-        sweep = graph.sweeps.get(exp_id)
-        if sweep is None:
-            # No decomposition: the whole-run cache key carries the full
-            # options mapping (engine hashes it verbatim) — safe.
-            continue
-        module = ctx.module_of(exp.module)
-        sweep_module = ctx.module_of(sweep.module)
-        if module is None:
-            continue
-        register_node = _node_at(module, exp.lineno, exp.col)
-        if not sweep.takes_options:
-            target = sweep_module if sweep_module is not None else module
-            ctx.flag(
-                target,
-                _node_at(target, sweep.lineno, sweep.col),
-                rule,
-                f"experiment '{exp_id}' declares options "
-                f"{sorted(exp.options)} but its SweepSpec has "
-                "takes_options=False: units() never sees them, so they "
-                "cannot reach WorkUnit.params (the cache key) and "
-                "cached sweep units go stale across option values",
-            )
-            continue
-        units_info = graph.functions.get(sweep.units or "")
-        if units_info is None:
-            continue
-        options_param = _options_param(units_info)
-        if options_param is None:
-            continue
-        flowed = _OptionTaint(ctx, graph).run(units_info, options_param)
-        for option in sorted(set(exp.options)):
-            if option not in flowed:
-                ctx.flag(
-                    module,
-                    register_node,
-                    rule,
-                    f"option '{option}' of experiment '{exp_id}' never "
-                    f"flows into WorkUnit.params in "
-                    f"{sweep.units.split(':')[-1] if sweep.units else 'units()'}"
-                    " — the result-cache key will not distinguish runs "
-                    "with different values",
-                )
-
-    # CLI flag table cross-checks (when a _OPTION_FLAGS table is in scope).
-    if graph.option_flags:
-        flagged = {of.option for of in graph.option_flags}
-        for of in graph.option_flags:
-            if of.option not in declared_options:
-                module = ctx.module_of(of.module)
-                if module is not None:
-                    ctx.flag(
-                        module,
-                        _node_at(module, of.lineno, of.col),
-                        rule,
-                        f"CLI flag {of.flag} maps to option '{of.option}' "
-                        "which no registered experiment declares — the "
-                        "flag is dead (or the declaration drifted)",
-                    )
-        for exp_id in sorted(graph.experiments):
-            exp = graph.experiments[exp_id]
-            module = ctx.module_of(exp.module)
-            if module is None:
-                continue
-            for option in sorted(set(exp.options)):
-                if option not in flagged:
-                    ctx.flag(
-                        module,
-                        _node_at(module, exp.lineno, exp.col),
-                        rule,
-                        f"option '{option}' of experiment '{exp_id}' has "
-                        "no _OPTION_FLAGS row: it cannot be set from the "
-                        "CLI, so the declared knob is unreachable",
-                    )
-
-
-def _options_param(info: FunctionInfo) -> Optional[str]:
-    if "options" in info.all_params:
-        return "options"
-    if len(info.params) >= 3:
-        return info.params[2]
-    return None
-
-
-def _node_at(module: ParsedModule, lineno: int, col: int):
-    """A tiny location carrier for findings anchored at stored positions."""
-
-    class _Loc:
-        pass
-
-    loc = _Loc()
-    loc.lineno = lineno
-    loc.col_offset = col
-    return loc
 
 
 # -- RTX008: parallel shared-state -------------------------------------------
@@ -1049,7 +752,6 @@ def _check_event_ctor(
 # -- driver -------------------------------------------------------------------
 
 _PASSES = (
-    ("RTX007", check_cache_keys),
     ("RTX008", check_shared_state),
     ("RTX009", check_unit_flow),
     ("RTX010", check_trace_emits),
@@ -1091,71 +793,7 @@ def analyze_paths(
     return analyze_modules(load_modules(list(paths)), select=select, ignore=ignore)
 
 
-# -- baseline -----------------------------------------------------------------
-
-
-def finding_key(finding: Finding) -> Dict[str, str]:
-    """Baseline identity: path + rule + message (line numbers drift)."""
-    return {
-        "path": Path(finding.path).as_posix(),
-        "rule": finding.rule.rule_id,
-        "message": finding.message,
-    }
-
-
-def load_baseline(path: PathLike) -> List[Dict[str, str]]:
-    payload = json.loads(Path(path).read_text())
-    entries = payload.get("entries", []) if isinstance(payload, dict) else []
-    out: List[Dict[str, str]] = []
-    for entry in entries:
-        if isinstance(entry, dict) and {"path", "rule", "message"} <= set(entry):
-            out.append(
-                {
-                    "path": str(entry["path"]),
-                    "rule": str(entry["rule"]),
-                    "message": str(entry["message"]),
-                }
-            )
-    return out
-
-
-def write_baseline(path: PathLike, findings: Sequence[Finding]) -> None:
-    payload = {
-        "version": 1,
-        "comment": (
-            "Accepted `repro.check analyze` findings. Entries are matched "
-            "by (path, rule, message) so line drift does not invalidate "
-            "them; regenerate with `python -m repro.check analyze "
-            "--write-baseline`."
-        ),
-        "entries": [finding_key(f) for f in findings],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def split_by_baseline(
-    findings: Sequence[Finding], entries: Sequence[Mapping[str, str]]
-) -> Tuple[List[Finding], List[Finding], List[Dict[str, str]]]:
-    """Partition findings into (new, baselined); also report stale entries."""
-    remaining = [dict(entry) for entry in entries]
-    new: List[Finding] = []
-    baselined: List[Finding] = []
-    for finding in findings:
-        key = finding_key(finding)
-        if key in remaining:
-            remaining.remove(key)
-            baselined.append(finding)
-        else:
-            new.append(finding)
-    return new, baselined, remaining
-
-
-def report_json(
-    findings: Sequence[Finding],
-    baselined: Sequence[Finding] = (),
-    stale: Sequence[Mapping[str, str]] = (),
-    baseline_path: Optional[str] = None,
-) -> Dict[str, object]:
+def report_json(findings: Sequence[Finding]) -> Dict[str, object]:
     """Machine-readable ``--format json`` document."""
     def render(finding: Finding) -> Dict[str, object]:
         return {
@@ -1174,11 +812,5 @@ def report_json(
         "version": 1,
         "tool": "repro.check analyze",
         "findings": [render(f) for f in findings],
-        "baselined": [render(f) for f in baselined],
         "counts": dict(sorted(counts.items())),
-        "baseline": {
-            "path": baseline_path,
-            "suppressed": len(baselined),
-            "stale_entries": [dict(entry) for entry in stale],
-        },
     }

@@ -10,10 +10,9 @@ Subcommands::
 
 ``lint`` runs the per-file rules (RTX001–RTX006); ``analyze`` parses the
 same tree once, builds the project graph, and runs the flow passes
-(RTX007–RTX010).  Both accept ``--select``/``--ignore`` rule-id filters;
-``analyze`` additionally supports ``--format json``, a committed
-baseline file (``--baseline``, default ``.repro-check-baseline.json``
-when present), and ``--write-baseline`` to accept the current findings.
+(RTX008–RTX010).  Both accept ``--select``/``--ignore`` rule-id filters;
+``analyze`` additionally supports ``--format json``.  Inline
+``# repro-check: allow`` waivers are the one way to accept a finding.
 
 ``replay`` feeds a saved JSONL trace through the same
 :class:`~repro.check.sanitizer.SanitizingSink` the live ``--sanitize``
@@ -77,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze_parser = sub.add_parser(
         "analyze",
-        help="whole-program flow analysis (RTX007-010): cache keys, "
-        "pool-shared state, unit flow, trace-emit conformance",
+        help="whole-program flow analysis (RTX008-010): pool-shared "
+        "state, unit flow, trace-emit conformance",
     )
     analyze_parser.add_argument(
         "paths",
@@ -92,23 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="output format (json emits the full machine-readable report)",
-    )
-    analyze_parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="baseline file of accepted findings "
-        "(default: .repro-check-baseline.json when it exists)",
-    )
-    analyze_parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (report every finding)",
-    )
-    analyze_parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept the current findings into the baseline file and exit 0",
     )
 
     rules_parser = sub.add_parser("rules", help="list the lint/analyze rules")
@@ -187,14 +169,7 @@ def _run_lint(
 
 def _run_analyze(args: argparse.Namespace) -> int:
     # Imported here so plain `lint` never pays for graph construction.
-    from repro.check.analyze import (
-        DEFAULT_BASELINE,
-        analyze_paths,
-        load_baseline,
-        report_json,
-        split_by_baseline,
-        write_baseline,
-    )
+    from repro.check.analyze import analyze_paths, report_json
 
     bad = _check_paths(args.paths)
     if bad is not None:
@@ -212,60 +187,13 @@ def _run_analyze(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    baseline_path: Optional[str] = None
-    if not args.no_baseline:
-        if args.baseline is not None:
-            baseline_path = args.baseline
-        elif Path(DEFAULT_BASELINE).is_file():
-            baseline_path = DEFAULT_BASELINE
-
-    if args.write_baseline:
-        target = baseline_path or DEFAULT_BASELINE
-        write_baseline(target, findings)
-        print(
-            f"repro.check: wrote {len(findings)} finding(s) to {target}",
-            file=sys.stderr,
-        )
-        return 0
-
-    entries = []
-    if baseline_path is not None:
-        try:
-            entries = load_baseline(baseline_path)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(
-                f"repro.check: cannot read baseline {baseline_path}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-    new, baselined, stale = split_by_baseline(findings, entries)
-
     if args.format == "json":
-        print(
-            json.dumps(
-                report_json(new, baselined, stale, baseline_path),
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        print(json.dumps(report_json(findings), indent=2, sort_keys=True))
     else:
-        for finding in new:
+        for finding in findings:
             print(finding.render())
-        if baselined:
-            print(
-                f"repro.check: {len(baselined)} baselined finding(s) suppressed "
-                f"({baseline_path})",
-                file=sys.stderr,
-            )
-        if stale:
-            print(
-                f"repro.check: {len(stale)} stale baseline entr"
-                f"{'y' if len(stale) == 1 else 'ies'} (fixed findings — "
-                "regenerate with --write-baseline)",
-                file=sys.stderr,
-            )
-    if new:
-        print(f"repro.check: {len(new)} finding(s)", file=sys.stderr)
+    if findings:
+        print(f"repro.check: {len(findings)} finding(s)", file=sys.stderr)
         return 1
     return 0
 

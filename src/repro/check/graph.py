@@ -9,12 +9,11 @@ per-file lint cannot see:
 * **a call graph** — which functions a process-pool worker can reach,
   including functions that are never *called* by name but escape by
   reference into registry tables (``SweepSpec(run_unit=...)``,
-  ``_OPTION_FLAGS`` validators, ``pool.submit(fn, ...)``);
+  ``pool.submit(fn, ...)``);
 * **the repo's registration idioms, reified** — the experiment registry
-  (``register(..., options=...)`` / ``attach_sweep``/``SweepSpec``), the
-  CLI option-flag table, and pool submission sites, so passes can
-  reason about cache keys and worker-reachable state without executing
-  any project code.
+  (``register(...)`` / ``attach_sweep``/``SweepSpec``) and pool
+  submission sites, so passes can reason about worker-reachable state
+  without executing any project code.
 
 Everything here is static: modules come in as
 :class:`~repro.check.parse.ParsedModule` objects (parsed exactly once,
@@ -96,7 +95,6 @@ class ExperimentRecord:
     module: str
     lineno: int
     col: int
-    options: Tuple[str, ...] = ()
     driver: Optional[str] = None  # qualname
 
 
@@ -108,22 +106,9 @@ class SweepRecord:
     module: str
     lineno: int
     col: int
-    takes_options: bool = False
     units: Optional[str] = None      # qualnames
     run_unit: Optional[str] = None
     combine: Optional[str] = None
-
-
-@dataclass
-class OptionFlag:
-    """One row of a CLI ``_OPTION_FLAGS`` table."""
-
-    flag: str
-    option: str
-    module: str
-    lineno: int
-    col: int
-    validator: Optional[str] = None  # qualname
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -150,7 +135,6 @@ class ProjectGraph:
         self.edges: Dict[str, Set[str]] = {}
         self.experiments: Dict[str, ExperimentRecord] = {}
         self.sweeps: Dict[str, SweepRecord] = {}
-        self.option_flags: List[OptionFlag] = []
         #: Functions handed to a process pool via ``<x>.submit(fn, ...)``.
         self.pool_roots: Set[str] = set()
         for module in self.modules.values():
@@ -387,18 +371,11 @@ class ProjectGraph:
         experiment_id = self._literal_str(module, decorator.args[0]) if decorator.args else None
         if experiment_id is None:
             return
-        options: Tuple[str, ...] = ()
-        for kw in decorator.keywords:
-            if kw.arg == "options":
-                options = self._literal_str_tuple(module, kw.value)
-        if len(decorator.args) >= 3:
-            options = self._literal_str_tuple(module, decorator.args[2])
         self.experiments[experiment_id] = ExperimentRecord(
             experiment_id=experiment_id,
             module=module.name,
             lineno=decorator.lineno,
             col=decorator.col_offset,
-            options=options,
             driver=info.qualname,
         )
 
@@ -411,16 +388,6 @@ class ProjectGraph:
             if isinstance(resolved, ast.Constant) and isinstance(resolved.value, str):
                 return resolved.value
         return None
-
-    def _literal_str_tuple(self, module: ParsedModule, node: ast.expr) -> Tuple[str, ...]:
-        if isinstance(node, (ast.Tuple, ast.List)):
-            out = []
-            for element in node.elts:
-                value = self._literal_str(module, element)
-                if value is not None:
-                    out.append(value)
-            return tuple(out)
-        return ()
 
     def _maybe_attach_sweep(self, module: ParsedModule, call: ast.Call) -> None:
         if not self._resolves_to(module, call.func, "attach_sweep"):
@@ -459,10 +426,6 @@ class ProjectGraph:
         for kw in spec.keywords:
             if kw.arg in slots:
                 values[kw.arg] = kw.value
-            elif kw.arg == "takes_options":
-                record.takes_options = bool(
-                    isinstance(kw.value, ast.Constant) and kw.value.value
-                )
         for slot, value in values.items():
             name = dotted_name(value)
             if name is None:
@@ -470,37 +433,6 @@ class ProjectGraph:
             info = self.resolve_function(module.name, name)
             if info is not None:
                 setattr(record, slot, info.qualname)
-
-    def _maybe_option_flags(self, module: ParsedModule, node: ast.Assign) -> None:
-        targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        if "_OPTION_FLAGS" not in targets:
-            return
-        if not isinstance(node.value, (ast.Tuple, ast.List)):
-            return
-        for row in node.value.elts:
-            if not isinstance(row, (ast.Tuple, ast.List)) or len(row.elts) < 2:
-                continue
-            flag = self._literal_str(module, row.elts[0])
-            option = self._literal_str(module, row.elts[1])
-            if flag is None or option is None:
-                continue
-            validator = None
-            if len(row.elts) >= 3:
-                name = dotted_name(row.elts[2])
-                if name is not None:
-                    info = self.resolve_function(module.name, name)
-                    if info is not None:
-                        validator = info.qualname
-            self.option_flags.append(
-                OptionFlag(
-                    flag=flag,
-                    option=option,
-                    module=module.name,
-                    lineno=row.lineno,
-                    col=row.col_offset,
-                    validator=validator,
-                )
-            )
 
     def _link_sweep_drivers(self) -> None:
         """Ref edges from each sweep/driver record into the call graph."""
@@ -547,10 +479,8 @@ class ProjectGraph:
         for node in module.tree.body:
             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
                 self._maybe_attach_sweep(module, node.value)
-            elif isinstance(node, ast.Assign):
-                self._maybe_option_flags(module, node)
-                if isinstance(node.value, ast.Call):
-                    self._maybe_attach_sweep(module, node.value)
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                self._maybe_attach_sweep(module, node.value)
 
         # Tag call funcs so the reference walk does not double-count
         # them (a called name is an edge via _record_call already).

@@ -124,25 +124,6 @@ ENV_READ = Rule(
     ),
 )
 
-CACHE_KEY_COMPLETENESS = Rule(
-    rule_id="RTX007",
-    name="cache-key-completeness",
-    summary=(
-        "experiment option (register(options=)/CLI flag) that does not "
-        "flow into WorkUnit.params, or a CLI flag/option pair with no "
-        "counterpart"
-    ),
-    rationale=(
-        "The result cache is keyed by (experiment, unit key, scale, "
-        "seed, WorkUnit.params).  An option that changes what a sweep "
-        "unit computes but never lands in its params produces silently "
-        "stale cache hits: two runs with different option values share "
-        "a key.  The analyzer traces each declared option from the CLI "
-        "flag table through SweepSpec.units into the params dict, so "
-        "the key provably covers every input."
-    ),
-)
-
 PARALLEL_SHARED_STATE = Rule(
     rule_id="RTX008",
     name="parallel-shared-state",
@@ -199,6 +180,9 @@ TRACE_EMIT_CONFORMANCE = Rule(
 )
 
 #: Every rule, in id order — the table ``repro.check rules`` renders.
+#: The ids skip the retired cache-key completeness rule (the runtime
+#: now puts every declared option into the cache key itself); its id is
+#: never reused, so inline waivers naming RTX008–RTX010 keep their meaning.
 RULES: Tuple[Rule, ...] = (
     WALLCLOCK,
     UNSEEDED_RNG,
@@ -206,7 +190,6 @@ RULES: Tuple[Rule, ...] = (
     US_UNIT_MIXING,
     MUTABLE_DEFAULT,
     ENV_READ,
-    CACHE_KEY_COMPLETENESS,
     PARALLEL_SHARED_STATE,
     UNIT_FLOW,
     TRACE_EMIT_CONFORMANCE,
@@ -218,7 +201,7 @@ LINT_RULE_IDS: Tuple[str, ...] = (
 )
 
 #: Rules implemented by the whole-program analyzer (``repro.check analyze``).
-ANALYZE_RULE_IDS: Tuple[str, ...] = ("RTX007", "RTX008", "RTX009", "RTX010")
+ANALYZE_RULE_IDS: Tuple[str, ...] = ("RTX008", "RTX009", "RTX010")
 
 RULES_BY_ID = {rule.rule_id: rule for rule in RULES}
 

@@ -64,7 +64,11 @@ UnitResult = Dict[str, object]
 class SweepSpec:
     """How to split one experiment into independent work units.
 
-    ``units(scale, seed)`` enumerates the sweep points; ``run_unit``
+    ``units(scale, seed)`` enumerates the sweep points — called as
+    ``units(scale, seed, options)`` when the experiment declares
+    options, which the runtime also puts in every unit's cache key;
+    ``units`` copies into ``params`` only what ``run_unit`` needs to
+    read (pool workers see nothing else).  ``run_unit``
     executes one of them (in any process, in any order) and returns a
     JSON-native :data:`UnitResult`; ``combine(results, scale, seed)``
     folds the unit results — in ``units()`` order — back into the exact
@@ -77,11 +81,6 @@ class SweepSpec:
     units: Callable[..., List[WorkUnit]]
     run_unit: Callable[[WorkUnit], UnitResult]
     combine: Callable[[List[UnitResult], float, int], ExperimentOutput]
-    #: When true, ``units`` is called as ``units(scale, seed, options)``
-    #: and must bake the options into each unit's ``params`` (making
-    #: them part of the cache key and visible to pool workers);
-    #: ``combine`` recovers anything it needs from the unit results.
-    takes_options: bool = False
 
 
 def derive_unit_seed(base_seed: int, experiment_id: str, key: str) -> int:

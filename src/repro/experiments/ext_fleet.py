@@ -475,5 +475,5 @@ def run(
 
 attach_sweep(
     EXPERIMENT_ID,
-    SweepSpec(units=_units, run_unit=_run_unit, combine=_combine, takes_options=True),
+    SweepSpec(units=_units, run_unit=_run_unit, combine=_combine),
 )

@@ -188,5 +188,5 @@ def _combine(results: List[UnitResult], scale: float, seed: int) -> ExperimentOu
 
 attach_sweep(
     "ext_mixed",
-    SweepSpec(units=_units, run_unit=_run_unit, combine=_combine, takes_options=True),
+    SweepSpec(units=_units, run_unit=_run_unit, combine=_combine),
 )

@@ -24,15 +24,13 @@ class UplinkGrant:
 
     The paper's evaluation assumes a single user at 100% PRB utilization,
     varying MCS according to the load trace; multi-user subframes are
-    expressed as multiple grants in :mod:`repro.workload`.  ``service``
-    tags the grant's traffic class (``urllc``/``embb``/``mmtc``); the
-    default matches the paper's single-class broadband workload.
+    expressed as multiple grants in :mod:`repro.workload`.  The traffic
+    class lives on the job (``SubframeJob.service``), not on the grant.
     """
 
     mcs: int
     num_prbs: int = 50
     num_antennas: int = 2
-    service: str = "embb"
 
     def __post_init__(self) -> None:
         if self.num_antennas < 1:
@@ -64,20 +62,16 @@ class UplinkGrant:
 
 
 @lru_cache(maxsize=None)
-def interned_grant(
-    mcs: int, num_prbs: int = 50, num_antennas: int = 2, service: str = "embb"
-) -> UplinkGrant:
+def interned_grant(mcs: int, num_prbs: int = 50, num_antennas: int = 2) -> UplinkGrant:
     """A shared :class:`UplinkGrant` instance for a grant shape.
 
     Grants are frozen value objects, so workload builders that create
     one per (basestation, subframe) slot can share a single instance per
-    distinct (mcs, prbs, antennas, service) tuple — the key space the
+    distinct (mcs, prbs, antennas) tuple — the key space the
     evaluation exercises is tiny, while the construction (with its
     eager MCS validation) is not free at fleet scale.
     """
-    return UplinkGrant(
-        mcs=mcs, num_prbs=num_prbs, num_antennas=num_antennas, service=service
-    )
+    return UplinkGrant(mcs=mcs, num_prbs=num_prbs, num_antennas=num_antennas)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Content-addressed on-disk cache for experiment results.
 
 Entries are keyed by a sha256 over the *identity* of a computation —
-experiment id, unit key, scale, seed, unit parameters — plus a
-fingerprint of the ``repro`` source tree, so editing any module under
-``src/repro/`` automatically invalidates every cached result.  Payloads
-are JSON (``ExperimentOutput.data`` / unit-result dicts), sharded as
-``<root>/<key[:2]>/<key>.json`` with atomic writes so concurrent runs
-sharing a cache directory never observe torn files.
+experiment id, unit key, scale, seed, unit parameters, the experiment's
+declared options — plus a fingerprint of the ``repro`` source tree, so
+editing any module under ``src/repro/`` automatically invalidates every
+cached result.  Payloads are JSON (``ExperimentOutput.data`` /
+unit-result dicts), sharded as ``<root>/<key[:2]>/<key>.json`` with
+atomic writes so concurrent runs sharing a cache directory never
+observe torn files.
 
 The JSON round-trip canonicalizes container types (tuples and numpy
 arrays become lists, non-string dict keys become strings): warm-cache
@@ -93,6 +94,7 @@ class ResultCache:
         scale: float,
         seed: int,
         params: Optional[Mapping[str, object]] = None,
+        options: Optional[Mapping[str, str]] = None,
     ) -> str:
         identity = {
             "experiment_id": experiment_id,
@@ -100,6 +102,7 @@ class ResultCache:
             "scale": scale,
             "seed": seed,
             "params": dict(params) if params else {},
+            "options": dict(options) if options else {},
             "fingerprint": self.fingerprint,
         }
         blob = json.dumps(identity, sort_keys=True, default=_json_default)

@@ -211,10 +211,8 @@ class ExperimentRunner:
     ) -> Optional[ExperimentOutput]:
         if self.cache is None:
             return None
-        # An empty options dict hashes identically to the pre-options
-        # cache key, so existing caches stay warm for default runs.
         key = self.cache.key(
-            exp.experiment_id, WHOLE_UNIT_KEY, scale, seed, options or None
+            exp.experiment_id, WHOLE_UNIT_KEY, scale, seed, options=options
         )
         payload = self.cache.get(key)
         if payload is None:
@@ -232,14 +230,18 @@ class ExperimentRunner:
         if self.cache is None:
             return
         key = self.cache.key(
-            exp.experiment_id, WHOLE_UNIT_KEY, scale, seed, options or None
+            exp.experiment_id, WHOLE_UNIT_KEY, scale, seed, options=options
         )
         self.cache.put(key, _output_payload(output))
 
-    def _unit_key(self, unit: WorkUnit, scale: float) -> str:
+    def _unit_key(self, exp: Experiment, unit: WorkUnit, scale: float) -> str:
+        """Unit identity: its params plus every option the experiment
+        declares, so an option is in the key even when ``units()``
+        leaves it out of ``params``."""
         assert self.cache is not None
         return self.cache.key(
-            unit.experiment_id, unit.key, scale, unit.seed, unit.params
+            unit.experiment_id, unit.key, scale, unit.seed, unit.params,
+            options=self._opts_for(exp),
         )
 
     # -- public API ----------------------------------------------------------
@@ -404,7 +406,7 @@ class ExperimentRunner:
                     )
                     continue
                 if exp.sweep is not None:
-                    if exp.sweep.takes_options:
+                    if exp.options:
                         units = exp.sweep.units(scale, seed, opts)
                     else:
                         units = exp.sweep.units(scale, seed)
@@ -415,7 +417,7 @@ class ExperimentRunner:
                     exp_wall[exp.experiment_id] = 0.0
                     for i, unit in enumerate(units):
                         payload = (
-                            self.cache.get(self._unit_key(unit, scale))
+                            self.cache.get(self._unit_key(exp, unit, scale))
                             if self.cache is not None
                             else None
                         )
@@ -486,7 +488,7 @@ class ExperimentRunner:
                         )
                     )
                     if self.cache is not None:
-                        self.cache.put(self._unit_key(unit, scale), value)
+                        self.cache.put(self._unit_key(exp, unit, scale), value)
                     pending_units[experiment_id] -= 1
                     if pending_units[experiment_id] == 0 and experiment_id not in results:
                         combine_ready(exp)

@@ -63,6 +63,9 @@ class SharedQueueScheduler:
         # at the instant it was made.
         if not dispatch_overhead_us > 0:
             raise ValueError(f"dispatch_overhead_us must be > 0, got {dispatch_overhead_us}")
+        # A full queue evicts before it admits, so it must hold one entry.
+        if queue_capacity < 1:
+            raise ValueError(f"queue_capacity must be >= 1, got {queue_capacity}")
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.cache = cache_model if cache_model is not None else CacheAffinityModel()

@@ -32,6 +32,27 @@ from repro.workload.mapping import GrantMapper
 from repro.workload.traces import CellularTraceGenerator
 
 
+def resolve_loads(
+    config: CRanConfig, num_subframes: int, seed: int, loads: Optional[np.ndarray]
+) -> np.ndarray:
+    """``loads`` as a ``(num_basestations, num_subframes)`` float array,
+    generated from the default trace model (seeded by ``seed``) when
+    ``None``; any other shape is rejected."""
+    if loads is None:
+        generator = CellularTraceGenerator(seed=seed)
+        if generator.num_basestations < config.num_basestations:
+            raise ValueError(
+                "default trace model has fewer basestations than the config; pass loads="
+            )
+        loads = generator.generate(num_subframes)[: config.num_basestations]
+    loads = np.asarray(loads, dtype=np.float64)
+    if loads.shape != (config.num_basestations, num_subframes):
+        raise ValueError(
+            f"loads must be shaped {(config.num_basestations, num_subframes)}, got {loads.shape}"
+        )
+    return loads
+
+
 def resolve_workload_inputs(
     config: CRanConfig,
     num_subframes: int,
@@ -63,18 +84,7 @@ def resolve_workload_inputs(
     noise = noise_model if noise_model is not None else PlatformNoiseModel()
     grants = mapper if mapper is not None else GrantMapper(num_antennas=config.num_antennas)
 
-    if loads is None:
-        generator = CellularTraceGenerator(seed=seed)
-        if generator.num_basestations < config.num_basestations:
-            raise ValueError(
-                "default trace model has fewer basestations than the config; pass loads="
-            )
-        loads = generator.generate(num_subframes)[: config.num_basestations]
-    loads = np.asarray(loads, dtype=np.float64)
-    if loads.shape != (config.num_basestations, num_subframes):
-        raise ValueError(
-            f"loads must be shaped {(config.num_basestations, num_subframes)}, got {loads.shape}"
-        )
+    loads = resolve_loads(config, num_subframes, seed, loads)
     transport_us = np.full(loads.shape, config.transport_latency_us, dtype=np.float64)
     if transport_jitter is not None:
         transport_jitter = np.asarray(transport_jitter, dtype=np.float64)

@@ -23,12 +23,10 @@ from typing import List, Optional
 import numpy as np
 
 from repro.constants import RX_BUDGET_US
-from repro.lte.subframe import interned_grant
 from repro.sched.base import CRanConfig, SubframeJob
 from repro.sim.rng import RngStreams
 from repro.workload.bursty import burst_envelope, shape_loads
 from repro.workload.classes import DEFAULT_SERVICE, ServiceMix, single_class_mix
-from repro.workload.traces import CellularTraceGenerator
 
 
 def _is_plain_embb(mix: ServiceMix) -> bool:
@@ -79,13 +77,13 @@ def build_mixed_workload(
 ) -> List[SubframeJob]:
     """Materialize the per-subframe jobs of a mixed-service scenario.
 
-    Each job is tagged with its class (on both the job and its grant)
-    and carries ``deadline_override_us = air_time + delay_budget`` so
-    every scheduler — none of which know about classes — enforces the
+    Each job is tagged with its class and carries
+    ``deadline_override_us = air_time + delay_budget`` so every
+    scheduler — none of which know about classes — enforces the
     per-class budget through the ordinary deadline field.
     """
     # Imported here: repro.sched.runner itself imports repro.workload.
-    from repro.sched.runner import build_workload
+    from repro.sched.runner import build_workload, resolve_loads
     if mix is None:
         mix = single_class_mix()
     for cls in mix.classes:
@@ -94,20 +92,7 @@ def build_mixed_workload(
                 f"class {cls.name!r} budget {cls.delay_budget_us:g}us does not "
                 f"clear the transport latency {config.transport_latency_us:g}us"
             )
-
-    if loads is None:
-        generator = CellularTraceGenerator(seed=seed)
-        if generator.num_basestations < config.num_basestations:
-            raise ValueError(
-                "default trace model has fewer basestations than the config; pass loads="
-            )
-        loads = generator.generate(num_subframes)[: config.num_basestations]
-    loads = np.asarray(loads, dtype=np.float64)
-    if loads.shape != (config.num_basestations, num_subframes):
-        raise ValueError(
-            f"loads must be shaped {(config.num_basestations, num_subframes)}, "
-            f"got {loads.shape}"
-        )
+    loads = resolve_loads(config, num_subframes, seed, loads)
 
     if _is_plain_embb(mix):
         # Fast path: today's workload, bit for bit.
@@ -121,17 +106,11 @@ def build_mixed_workload(
     for job in jobs:
         sf = job.subframe
         cls = mix.classes[assign_list[sf.bs_id][sf.index]]
-        # Equal to replace(sf.grant, service=...) but shares one grant
-        # instance per (mcs, class) — the SoA jobs intern grants, so the
-        # tagging pass should not explode them back into per-job copies.
-        grant = interned_grant(sf.grant.mcs, sf.grant.num_prbs, sf.grant.num_antennas, cls.name)
-        subframe = replace(sf, grant=grant)
         tagged.append(
             replace(
                 job,
-                subframe=subframe,
                 service=cls.name,
-                deadline_override_us=subframe.air_time_us + cls.delay_budget_us,
+                deadline_override_us=sf.air_time_us + cls.delay_budget_us,
             )
         )
     return tagged

@@ -144,13 +144,7 @@ def build_multiuser_workload(
                     len(mix.classes), size=len(shares), p=mix_shares
                 )
                 user_classes = [mix.classes[int(d)] for d in draws]
-            grants = [
-                interned_grant(
-                    mcs, p, config.num_antennas,
-                    user_classes[u].name if user_classes else "embb",
-                )
-                for u, p in enumerate(shares)
-            ]
+            grants = [interned_grant(mcs, p, config.num_antennas) for p in shares]
             per_user_iters = []
             crc_ok = True
             for grant in grants:

@@ -5,15 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check.analyze import (
-    analyze_modules,
-    analyze_paths,
-    finding_key,
-    load_baseline,
-    report_json,
-    split_by_baseline,
-    write_baseline,
-)
+from repro.check.analyze import analyze_modules, analyze_paths, report_json
 from repro.check.cli import main
 from repro.check.parse import parse_source
 from repro.check.rules import ANALYZE_RULE_IDS
@@ -24,7 +16,6 @@ REPO_SRC = TESTS_DIR.parents[1] / "src" / "repro"
 
 #: fixture file -> exact (line, col, rule_id) findings it must produce.
 FIXTURE_FINDINGS = {
-    "rtx007_cache_key.py": [(12, 1, "RTX007")],
     "rtx008_shared_state.py": [
         (22, 4, "RTX008"),
         (23, 4, "RTX008"),
@@ -67,9 +58,6 @@ class TestFixtureFiles:
         assert on_disk == set(FIXTURE_FINDINGS)
 
     def test_messages_name_the_offending_symbols(self):
-        (finding,) = analyze_fixture("rtx007_cache_key.py")
-        assert "'beta'" in finding.message
-        assert "WorkUnit.params" in finding.message
         messages = [f.message for f in analyze_fixture("rtx008_shared_state.py")]
         assert any("_RESULTS" in m for m in messages)
         assert any("_SEEN" in m for m in messages)
@@ -120,98 +108,6 @@ class TestWaivers:
         source = WAIVED_SHARED_STATE.replace("  # repro-check: allow RTX008", "")
         findings = analyze_source(source)
         assert [f.rule.rule_id for f in findings] == ["RTX008"]
-
-
-class TestCacheKeyPass:
-    def test_takes_options_false_is_flagged_at_the_sweep(self):
-        source = FIXTURES.joinpath("rtx007_cache_key.py").read_text()
-        source = source.replace("takes_options=True", "takes_options=False")
-        findings = analyze_source(source, path="src/repro/experiments/ext_fx.py")
-        assert [f.rule.rule_id for f in findings] == ["RTX007"]
-        assert "takes_options=False" in findings[0].message
-
-    def test_dead_cli_flag_and_unflagged_option(self):
-        experiments = parse_source(
-            "from repro.experiments.base import SweepSpec, WorkUnit, "
-            "attach_sweep, register\n"
-            "\n"
-            "\n"
-            '@register("exp-x", "X", options=("alpha", "delta"))\n'
-            "def run_x(scale, seed, options=None):\n"
-            "    return {}\n"
-            "\n"
-            "\n"
-            "def _units(scale, seed, options):\n"
-            "    return [\n"
-            '        WorkUnit("exp-x", "k", '
-            'params={"alpha": options.get("alpha"), '
-            '"delta": options.get("delta")}, seed=seed)\n'
-            "    ]\n"
-            "\n"
-            "\n"
-            "def _run_unit(unit):\n"
-            "    return {}\n"
-            "\n"
-            "\n"
-            "def _combine(results, scale, seed):\n"
-            "    return {}\n"
-            "\n"
-            "\n"
-            'attach_sweep("exp-x", SweepSpec(units=_units, run_unit=_run_unit, '
-            "combine=_combine, takes_options=True))\n",
-            path="src/repro/experiments/ext_x.py",
-        )
-        cli = parse_source(
-            "_OPTION_FLAGS = (\n"
-            '    ("--alpha", "alpha", None, "used"),\n'
-            '    ("--gamma", "gamma", None, "dead"),\n'
-            ")\n",
-            path="src/repro/cli.py",
-        )
-        findings = analyze_modules([experiments, cli])
-        messages = {f.message for f in findings}
-        assert any("--gamma" in m and "dead" in m for m in messages)
-        assert any(
-            "'delta'" in m and "_OPTION_FLAGS" in m for m in messages
-        )
-        assert all(f.rule.rule_id == "RTX007" for f in findings)
-        assert len(findings) == 2
-
-    def test_taint_follows_helper_calls(self):
-        source = (
-            "from repro.experiments.base import SweepSpec, WorkUnit, "
-            "attach_sweep, register\n"
-            "\n"
-            "\n"
-            '@register("exp-h", "H", options=("alpha",))\n'
-            "def run_h(scale, seed, options=None):\n"
-            "    return {}\n"
-            "\n"
-            "\n"
-            "def _expand(spec):\n"
-            "    return [spec, spec]\n"
-            "\n"
-            "\n"
-            "def _units(scale, seed, options):\n"
-            '    values = _expand(options.get("alpha"))\n'
-            "    return [\n"
-            '        WorkUnit("exp-h", str(v), params={"alpha": v}, seed=seed)\n'
-            "        for v in values\n"
-            "    ]\n"
-            "\n"
-            "\n"
-            "def _run_unit(unit):\n"
-            "    return {}\n"
-            "\n"
-            "\n"
-            "def _combine(results, scale, seed):\n"
-            "    return {}\n"
-            "\n"
-            "\n"
-            'attach_sweep("exp-h", SweepSpec(units=_units, run_unit=_run_unit, '
-            "combine=_combine, takes_options=True))\n"
-        )
-        assert analyze_source(source, path="src/repro/experiments/ext_h.py") == []
 
 
 class TestUnitFlowPass:
@@ -323,49 +219,14 @@ class TestTraceEmitPass:
         ) == []
 
 
-class TestBaseline:
-    def findings(self):
-        return analyze_fixture("rtx008_shared_state.py")
-
-    def test_roundtrip_suppresses_everything(self, tmp_path):
-        findings = self.findings()
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, findings)
-        entries = load_baseline(baseline)
-        new, baselined, stale = split_by_baseline(findings, entries)
-        assert new == [] and stale == []
-        assert len(baselined) == len(findings)
-
-    def test_partial_baseline_reports_the_rest_as_new(self):
-        findings = self.findings()
-        entries = [finding_key(findings[0])]
-        new, baselined, stale = split_by_baseline(findings, entries)
-        assert len(new) == len(findings) - 1
-        assert len(baselined) == 1 and stale == []
-
-    def test_fixed_findings_surface_as_stale_entries(self):
-        findings = self.findings()
-        ghost = dict(finding_key(findings[0]))
-        ghost["message"] = "a finding that no longer exists"
-        new, baselined, stale = split_by_baseline(findings, [ghost])
-        assert len(new) == len(findings)
-        assert baselined == [] and stale == [ghost]
-
-    def test_baseline_key_ignores_line_numbers(self):
-        findings = self.findings()
-        key = finding_key(findings[0])
-        assert set(key) == {"path", "rule", "message"}
-
+class TestReportJson:
     def test_report_json_shape(self):
-        findings = self.findings()
-        report = report_json(
-            findings[1:], baselined=findings[:1], stale=[],
-            baseline_path="b.json",
-        )
+        findings = analyze_fixture("rtx008_shared_state.py")
+        report = report_json(findings)
         assert report["tool"] == "repro.check analyze"
-        assert report["counts"] == {"RTX008": 2}
-        assert len(report["findings"]) == 2
-        assert report["baseline"]["suppressed"] == 1
+        assert report["counts"] == {"RTX008": 3}
+        assert len(report["findings"]) == 3
+        assert set(report) == {"version", "tool", "findings", "counts"}
         first = report["findings"][0]
         assert set(first) == {"path", "line", "col", "rule", "name", "message"}
 
@@ -373,20 +234,20 @@ class TestBaseline:
 class TestCli:
     def test_fixture_exits_nonzero(self, capsys):
         code = main(
-            ["analyze", "--no-baseline", str(FIXTURES / "rtx009_unit_flow.py")]
+            ["analyze", str(FIXTURES / "rtx009_unit_flow.py")]
         )
         assert code == 1
         out = capsys.readouterr().out
         assert "RTX009" in out
 
     def test_tree_exits_zero(self, capsys):
-        assert main(["analyze", "--no-baseline", str(REPO_SRC)]) == 0
+        assert main(["analyze", str(REPO_SRC)]) == 0
         assert capsys.readouterr().out == ""
 
     def test_json_format_is_parseable(self, capsys):
         code = main(
             [
-                "analyze", "--no-baseline", "--format", "json",
+                "analyze", "--format", "json",
                 str(FIXTURES / "rtx010_trace_emit.py"),
             ]
         )
@@ -397,7 +258,7 @@ class TestCli:
     def test_select_filters_on_analyze(self, capsys):
         code = main(
             [
-                "analyze", "--no-baseline", "--select", "RTX007",
+                "analyze", "--select", "RTX009",
                 str(FIXTURES / "rtx008_shared_state.py"),
             ]
         )
@@ -414,53 +275,4 @@ class TestCli:
     def test_syntax_error_is_a_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("def broken(:\n")
-        assert main(["analyze", "--no-baseline", str(bad)]) == 2
-
-    def test_write_baseline_then_clean(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        fixture = FIXTURES / "rtx008_shared_state.py"
-        baseline = tmp_path / "accepted.json"
-        code = main(
-            ["analyze", "--baseline", str(baseline), "--write-baseline",
-             str(fixture)]
-        )
-        assert code == 0 and baseline.is_file()
-        # With the baseline in force the same findings are suppressed...
-        code = main(["analyze", "--baseline", str(baseline), str(fixture)])
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "baselined finding(s) suppressed" in err
-        # ...and --no-baseline surfaces them again.
-        assert main(["analyze", "--no-baseline", str(fixture)]) == 1
-
-    def test_default_baseline_picked_up_from_cwd(self, tmp_path, capsys,
-                                                 monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        fixture = FIXTURES / "rtx009_unit_flow.py"
-        assert main(["analyze", "--write-baseline", str(fixture)]) == 0
-        assert (tmp_path / ".repro-check-baseline.json").is_file()
-        assert main(["analyze", str(fixture)]) == 0
-
-    def test_stale_entries_reported(self, tmp_path, capsys):
-        baseline = tmp_path / "stale.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": [
-                        {"path": "gone.py", "rule": "RTX008",
-                         "message": "was fixed"},
-                    ],
-                }
-            )
-        )
-        clean = tmp_path / "clean.py"
-        clean.write_text("def ok():\n    return 1\n")
-        code = main(["analyze", "--baseline", str(baseline), str(clean)])
-        assert code == 0
-        assert "stale baseline entr" in capsys.readouterr().err
-
-    def test_committed_repo_baseline_is_empty(self):
-        committed = TESTS_DIR.parents[1] / ".repro-check-baseline.json"
-        payload = json.loads(committed.read_text())
-        assert payload["entries"] == []
+        assert main(["analyze", str(bad)]) == 2

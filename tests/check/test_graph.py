@@ -113,7 +113,7 @@ def _combine(results, scale, seed):
 
 attach_sweep(
     "exp-a",
-    SweepSpec(units=_units, run_unit=_run_unit, combine=_combine, takes_options=True),
+    SweepSpec(units=_units, run_unit=_run_unit, combine=_combine),
 )
 """
 
@@ -141,13 +141,11 @@ class TestRegistryExtraction:
     def test_register_site_recorded_with_options(self):
         graph = self.build()
         exp = graph.experiments["exp-a"]
-        assert exp.options == ("alpha",)
         assert exp.driver == "repro.experiments.ext_demo:run_a"
 
     def test_sweep_slots_resolved_to_qualnames(self):
         graph = self.build()
         sweep = graph.sweeps["exp-a"]
-        assert sweep.takes_options is True
         assert sweep.units == "repro.experiments.ext_demo:_units"
         assert sweep.run_unit == "repro.experiments.ext_demo:_run_unit"
         assert sweep.combine == "repro.experiments.ext_demo:_combine"
@@ -175,30 +173,6 @@ class TestRegistryExtraction:
         assert reachable == {"repro.runtime.dispatch:plain"}
 
 
-FLAGS_SRC = """
-from repro.experiments.ext_demo import parse_alpha
-
-_OPTION_FLAGS = (
-    ("--alpha", "alpha", parse_alpha, "comma list"),
-    ("--beta", "beta", None, "plain"),
-)
-"""
-
-
-class TestOptionFlags:
-    def test_rows_and_validator_resolved(self):
-        graph = build_graph([
-            module("def parse_alpha(spec):\n    return spec\n",
-                   "src/repro/experiments/ext_demo.py"),
-            module(FLAGS_SRC, "src/repro/cli.py"),
-        ])
-        flags = {f.flag: f for f in graph.option_flags}
-        assert set(flags) == {"--alpha", "--beta"}
-        assert flags["--alpha"].option == "alpha"
-        assert flags["--alpha"].validator == "repro.experiments.ext_demo:parse_alpha"
-        assert flags["--beta"].validator is None
-
-
 class TestPoolRoots:
     def test_submit_argument_becomes_root(self):
         graph = build_graph([
@@ -221,9 +195,6 @@ class TestRealTree:
     def test_experiment_registry_recovered(self):
         graph = self.build()
         exp = graph.experiments["ext-fleet"]
-        assert set(exp.options) == {
-            "fleet_cells", "nodes", "loads", "schedulers", "placer",
-        }
         assert exp.driver is not None and exp.driver.startswith(
             "repro.experiments.ext_fleet:"
         )
@@ -231,14 +202,7 @@ class TestRealTree:
     def test_sweep_callbacks_recovered(self):
         graph = self.build()
         sweep = graph.sweeps["ext-fleet"]
-        assert sweep.takes_options is True
         assert sweep.units == "repro.experiments.ext_fleet:_units"
-
-    def test_cli_option_flags_recovered(self):
-        graph = self.build()
-        options = {f.option for f in graph.option_flags}
-        assert {"classes", "fleet_cells", "nodes", "loads", "schedulers",
-                "placer"} <= options
 
     def test_pool_submission_roots_are_the_engine_workers(self):
         graph = self.build()

@@ -276,7 +276,14 @@ class TestRuleTable:
             explain("RTX999")
 
     def test_ids_unique_and_sequential(self):
-        assert list(RULES_BY_ID) == [f"RTX{i:03d}" for i in range(1, len(RULES) + 1)]
+        # Ids ascend without duplicates, and are sequential once the
+        # retired RTX007 is counted: it is never reused.
+        ids = [rule.rule_id for rule in RULES]
+        assert ids == sorted(set(ids)) == list(RULES_BY_ID)
+        assert "RTX007" not in RULES_BY_ID
+        assert sorted(ids + ["RTX007"]) == [
+            f"RTX{i:03d}" for i in range(1, len(RULES) + 2)
+        ]
 
 
 class TestFixtureFiles:

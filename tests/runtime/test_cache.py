@@ -26,6 +26,12 @@ class TestKeys:
         assert cache.key("fig15", "rtt=500", 0.3, 2016) != base
         assert cache.key("fig15", "rtt=500", 0.2, 7) != base
         assert cache.key("fig15", "rtt=500", 0.2, 2016, {"x": 1}) != base
+        assert cache.key("fig15", "rtt=500", 0.2, 2016, options={"x": "1"}) != base
+
+    def test_options_and_params_are_separate_fields(self, cache):
+        assert cache.key("e", "k", 1.0, 1, {"x": "1"}) != cache.key(
+            "e", "k", 1.0, 1, options={"x": "1"}
+        )
 
     def test_key_varies_with_fingerprint(self, tmp_path):
         a = ResultCache(tmp_path, fingerprint="v1").key("fig15", "k", 0.2, 2016)

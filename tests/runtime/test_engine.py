@@ -8,10 +8,11 @@ uses an isolated tmp cache dir so the suite stays parallel-safe.
 
 import json
 import os
+import tempfile
 
 import pytest
 
-from repro.experiments import run_experiment
+from repro.experiments import list_experiments, run_experiment
 from repro.experiments.base import (
     ExperimentOutput,
     SweepSpec,
@@ -79,6 +80,29 @@ def _register_sweep(experiment_id, touch_dir=None):
             text=" ".join(str(v) for v in values),
             data={"values": values},
         )
+
+    attach_sweep(experiment_id, SweepSpec(_units, _run_unit, _combine))
+
+
+def _register_option_sweep(experiment_id, touch_dir):
+    """A 2-point sweep declaring option ``beta`` that ``units()`` reads
+    but leaves out of every unit's ``params``."""
+
+    @register(experiment_id, f"option sweep {experiment_id}", options=("beta",))
+    def _run(scale, seed, beta="1"):
+        units = _units(scale, seed, {"beta": beta})
+        return _combine([_run_unit(u) for u in units], scale, seed)
+
+    def _units(scale, seed, options):
+        return [WorkUnit(experiment_id, f"point={i}", {"point": i}, seed) for i in range(2)]
+
+    def _run_unit(unit):
+        os.close(tempfile.mkstemp(dir=touch_dir)[0])  # count executions
+        return {"data": {"value": unit.params["point"]}, "events": 1}
+
+    def _combine(results, scale, seed):
+        values = [r["data"]["value"] for r in results]
+        return ExperimentOutput(experiment_id, "option sweep", str(values), {"values": values})
 
     attach_sweep(experiment_id, SweepSpec(_units, _run_unit, _combine))
 
@@ -151,6 +175,40 @@ class TestParallelRunner:
         assert len(report.units) == 7  # one per RTT/2 point
 
 
+#: A non-default value for every option any experiment declares.
+NON_DEFAULT_OPTIONS = {
+    "classes": "urllc:0.4,embb:0.6",
+    "fleet_cells": "6",
+    "nodes": "5",
+    "loads": "0.9",
+    "schedulers": "partitioned,global",
+    "placer": "greedy",
+}
+
+
+class TestEveryOption:
+    def test_table_covers_every_declared_option(self):
+        declared = {o for exp in list_experiments() for o in exp.options}
+        assert set(NON_DEFAULT_OPTIONS) == declared
+
+    def test_serial_and_parallel_identical_with_every_option_set(self):
+        ids = sorted(
+            exp.experiment_id for exp in list_experiments() if exp.options
+        )
+        serial, _ = ExperimentRunner(jobs=1).run(
+            ids, scale=0.02, seed=7, options=NON_DEFAULT_OPTIONS
+        )
+        parallel, _ = ExperimentRunner(jobs=2).run(
+            ids, scale=0.02, seed=7, options=NON_DEFAULT_OPTIONS
+        )
+        for a, b in zip(serial, parallel):
+            assert a.ok and b.ok, (a.error, b.error)
+            assert a.output.text == b.output.text
+            assert json.dumps(a.output.data, sort_keys=True) == json.dumps(
+                b.output.data, sort_keys=True
+            )
+
+
 class TestCaching:
     def test_warm_rerun_executes_nothing(self, scratch_registry, tmp_path):
         touch_dir = tmp_path / "touch"
@@ -200,6 +258,33 @@ class TestCaching:
         ).run(["_t-plain"], 1.0, 9)
         assert not results[0].cached
         assert report.cache_hits == 0
+
+    def test_options_are_in_every_unit_key(self, scratch_registry, tmp_path):
+        # units() leaves `beta` out of params; the runtime must still
+        # key each unit on it, so a new value is a miss, not a stale hit.
+        touch_dir = tmp_path / "touch"
+        touch_dir.mkdir()
+        _register_option_sweep("_t-opt", touch_dir)
+        cache = ResultCache(tmp_path / "cache", fingerprint="fp")
+        runner = ExperimentRunner(jobs=2, cache=cache)
+        unit = WorkUnit("_t-opt", "point=0", {"point": 0}, 9)
+        exp = _REGISTRY["_t-opt"]
+
+        runner.run(["_t-opt"], 1.0, 9, options={"beta": "1"})
+        key_1 = runner._unit_key(exp, unit, 1.0)
+        results, report = runner.run(["_t-opt"], 1.0, 9, options={"beta": "2"})
+        key_2 = runner._unit_key(exp, unit, 1.0)
+        assert key_1 != key_2
+        assert report.cache_hits == 0 and report.cache_misses == 3  # whole + 2 units
+        assert not results[0].cached
+        assert len(list(touch_dir.iterdir())) == 4  # both points ran twice
+
+        # Dropping the whole-run entry leaves the unit entries, which
+        # still serve the first value.
+        cache._path(cache.key("_t-opt", "__whole__", 1.0, 9, options={"beta": "1"})).unlink()
+        results, report = runner.run(["_t-opt"], 1.0, 9, options={"beta": "1"})
+        assert results[0].cached and report.cache_hits == 2
+        assert len(list(touch_dir.iterdir())) == 4
 
     def test_failures_are_not_cached(self, scratch_registry, tmp_path):
         _register_failing("_t-bad")

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.sched import CRanConfig, GlobalScheduler, run_scheduler
+from repro.sched import CRanConfig, DelayAwareScheduler, GlobalScheduler, run_scheduler
 from repro.timing.cache import CacheAffinityModel
 
 from tests.helpers import make_job, same_instant_cases
@@ -71,6 +71,14 @@ class TestGlobalScheduler:
     def test_non_positive_dispatch_overhead_rejected(self, overhead):
         with pytest.raises(ValueError, match="dispatch_overhead_us"):
             GlobalScheduler(CRanConfig(), dispatch_overhead_us=overhead)
+
+    @pytest.mark.parametrize("policy", [GlobalScheduler, DelayAwareScheduler])
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_queue_capacity_below_one_rejected(self, policy, capacity):
+        # A full queue evicts before it admits: with no slot the first
+        # arrival would evict from an empty queue.
+        with pytest.raises(ValueError, match="queue_capacity"):
+            policy(CRanConfig(), queue_capacity=capacity)
 
     def test_edf_order_for_distinct_deadlines(self):
         # Same arrival burst, one subframe from an earlier index: it has

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _OPTION_FLAGS, build_parser, main
+from repro.experiments import list_experiments
 
 
 @pytest.fixture
@@ -238,3 +239,21 @@ class TestCli:
             assert "_t-cli-bad" in captured.out  # runtime summary names it
         finally:
             del _REGISTRY["_t-cli-bad"]
+
+
+class TestOptionFlags:
+    """The CLI flag table and the experiments' declared options must
+    match both ways: a row naming no declared option is a dead flag,
+    and a declared option with no row cannot be set from the CLI."""
+
+    def test_flags_match_declared_options(self):
+        flagged = [option for _, option, _, _ in _OPTION_FLAGS]
+        declared = {o for exp in list_experiments() for o in exp.options}
+        assert len(flagged) == len(set(flagged))
+        assert set(flagged) == declared
+
+    def test_every_flag_is_parsed(self):
+        parser = build_parser()
+        known = {s for action in parser._actions for s in action.option_strings}
+        assert {flag for flag, _, _, _ in _OPTION_FLAGS} <= known
+
