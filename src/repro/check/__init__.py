@@ -9,11 +9,11 @@ results rest on mechanically checkable:
   mutable defaults).
 * :mod:`repro.check.analyze` — whole-program flow passes
   (``python -m repro.check analyze``) over the project graph built by
-  :mod:`repro.check.graph`: pool-shared state, flow-sensitive unit
-  inference, and trace-emit conformance (RTX008–RTX010).
+  :mod:`repro.check.graph`: pool-shared state and flow-sensitive unit
+  inference (RTX008–RTX009).
 * :mod:`repro.check.sanitizer` — an online virtual-time sanitizer for
   the event streams the schedulers emit (``--sanitize`` on the CLI,
-  ``RTOPEX_SANITIZE=1`` for tests).
+  ``RTOPEX_SANITIZE=1`` for tests, ``replay`` for saved traces).
 """
 
 from repro.check.analyze import (

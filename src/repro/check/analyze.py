@@ -1,7 +1,7 @@
 """Whole-program flow analysis: ``python -m repro.check analyze``.
 
-Three passes over the :mod:`repro.check.graph` project graph, each one a
-rule (RTX008–RTX010) targeting a *cross-module* determinism hazard the
+Two passes over the :mod:`repro.check.graph` project graph, each one a
+rule (RTX008–RTX009) targeting a *cross-module* determinism hazard the
 per-file lint cannot see:
 
 * **RTX008 parallel shared-state** — module-level mutables (and
@@ -15,15 +15,13 @@ per-file lint cannot see:
   arithmetic (with explicit 1e3/1e6 conversions recognized), and
   resolved call/return boundaries; mixing two different known units in
   one expression, assignment, argument, or return is a finding.
-* **RTX010 trace-emit conformance** — every trace emit site is checked
-  against the typed vocabulary in :mod:`repro.obs.events`: event kinds
-  must be members of ``EVENT_KINDS`` and ``args`` keys members of the
-  per-kind ``EVENT_ARG_FIELDS`` set; emit-helper calls must use the
-  helper's real signature.
 
-The cache-key completeness pass is retired: the runtime now puts every
-declared experiment option into each result-cache key itself, so there
-is nothing left for a pass to police.  Its id is not reused.
+Two passes are retired, and their ids are not reused.  Cache-key
+completeness: the runtime puts every declared experiment option into
+each result-cache key itself.  Trace-emit conformance: the
+:class:`~repro.obs.trace.RunTrace` emitters fix each kind's ``args``
+keys in their signatures, and the sanitizer rejects any other kind or
+key at run time.
 
 Findings render exactly like lint findings (``path:line:col RTXnnn``)
 and honour inline ``# repro-check: allow`` waivers, the one way to
@@ -46,11 +44,7 @@ from repro.check.graph import (
 )
 from repro.check.lint import Finding, apply_waivers
 from repro.check.parse import ParsedModule, PathLike, load_modules
-from repro.check.rules import (
-    PARALLEL_SHARED_STATE,
-    TRACE_EMIT_CONFORMANCE,
-    UNIT_FLOW,
-)
+from repro.check.rules import PARALLEL_SHARED_STATE, UNIT_FLOW
 
 # -- shared context -----------------------------------------------------------
 
@@ -599,162 +593,11 @@ def check_unit_flow(ctx: AnalysisContext) -> None:
     _UnitPass(ctx).run()
 
 
-# -- RTX010: trace-emit conformance ------------------------------------------
-
-#: Emit-helper name -> event kind; signatures come from the live
-#: RunTrace class so the check can never drift from the real vocabulary.
-_EMITTER_KINDS = {
-    "arrival": "arrival",
-    "task": "task",
-    "subtask": "subtask",
-    "migration_planned": "migration_planned",
-    "migration_executed": "migration_executed",
-    "migration_returned": "migration_returned",
-    "gap": "gap",
-    "deadline": "deadline",
-}
-
-#: Modules that define/transport the vocabulary rather than emit into
-#: it; their TraceEvent constructions are exempt.
-_VOCAB_MODULE_PREFIXES = ("repro.obs", "repro.check")
-
-
-def _emitter_signatures() -> Dict[str, Tuple[Set[str], bool]]:
-    """helper name -> (named keyword params, accepts **args payload)."""
-    import inspect
-
-    from repro.obs.trace import RunTrace
-
-    signatures: Dict[str, Tuple[Set[str], bool]] = {}
-    for helper in _EMITTER_KINDS:
-        sig = inspect.signature(getattr(RunTrace, helper))
-        named = {
-            p.name for p in sig.parameters.values()
-            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
-            and p.name != "self"
-        }
-        has_var_kw = any(
-            p.kind == p.VAR_KEYWORD for p in sig.parameters.values()
-        )
-        signatures[helper] = (named, has_var_kw)
-    return signatures
-
-
-def check_trace_emits(ctx: AnalysisContext) -> None:
-    from repro.obs.events import EVENT_ARG_FIELDS, EVENT_KINDS
-
-    rule = TRACE_EMIT_CONFORMANCE
-    signatures = _emitter_signatures()
-    graph = ctx.graph
-
-    for module in ctx.modules:
-        if module.name.startswith(_VOCAB_MODULE_PREFIXES):
-            continue
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            # Emit-helper calls on a trace-like receiver.
-            if isinstance(node.func, ast.Attribute):
-                helper = node.func.attr
-                if helper in _EMITTER_KINDS and _trace_receiver(node.func.value):
-                    _check_helper_call(
-                        ctx, module, node, helper, signatures,
-                        EVENT_ARG_FIELDS, rule,
-                    )
-            # Direct TraceEvent(...) construction.
-            name = dotted_name(node.func)
-            if name is not None and name.split(".")[-1] == "TraceEvent":
-                _check_event_ctor(
-                    ctx, module, graph, node, EVENT_KINDS, EVENT_ARG_FIELDS, rule
-                )
-
-
-def _trace_receiver(expr: ast.expr) -> bool:
-    name = dotted_name(expr)
-    if name is None:
-        return False
-    return "trace" in name.lower()
-
-
-def _check_helper_call(
-    ctx, module, node: ast.Call, helper: str, signatures, arg_fields, rule
-) -> None:
-    named, has_var_kw = signatures[helper]
-    kind = _EMITTER_KINDS[helper]
-    allowed_payload = arg_fields.get(kind, frozenset())
-    for kw in node.keywords:
-        if kw.arg is None:
-            continue  # **spread: not statically checkable
-        if kw.arg in named:
-            continue
-        if has_var_kw:
-            if kw.arg not in allowed_payload:
-                known = ", ".join(sorted(allowed_payload)) or "(none)"
-                ctx.flag(
-                    module, kw.value, rule,
-                    f"trace.{helper}() payload key '{kw.arg}' is not in "
-                    f"the '{kind}' args vocabulary (known: {known}); "
-                    "add it to EVENT_ARG_FIELDS in repro.obs.events "
-                    "first",
-                )
-        else:
-            ctx.flag(
-                module, kw.value, rule,
-                f"trace.{helper}() has no keyword '{kw.arg}' — the emit "
-                "helper would raise TypeError at runtime",
-            )
-
-
-def _check_event_ctor(
-    ctx, module, graph: ProjectGraph, node: ast.Call, kinds, arg_fields, rule
-) -> None:
-    kind_expr: Optional[ast.expr] = node.args[0] if node.args else None
-    for kw in node.keywords:
-        if kw.arg == "kind":
-            kind_expr = kw.value
-    kind: Optional[str] = None
-    if isinstance(kind_expr, ast.Constant) and isinstance(kind_expr.value, str):
-        kind = kind_expr.value
-    elif kind_expr is not None:
-        name = dotted_name(kind_expr)
-        if name is not None:
-            resolved = graph.resolve_constant(module.name, name)
-            if isinstance(resolved, ast.Constant) and isinstance(
-                resolved.value, str
-            ):
-                kind = resolved.value
-    if kind is not None and kind not in kinds:
-        ctx.flag(
-            module, kind_expr if kind_expr is not None else node, rule,
-            f"TraceEvent kind '{kind}' is not in EVENT_KINDS "
-            f"({', '.join(kinds)}) — downstream consumers will drop or "
-            "mis-aggregate it",
-        )
-        return
-    args_expr: Optional[ast.expr] = None
-    for kw in node.keywords:
-        if kw.arg == "args":
-            args_expr = kw.value
-    if kind is not None and isinstance(args_expr, ast.Dict):
-        allowed = arg_fields.get(kind, frozenset())
-        for key in args_expr.keys:
-            if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                if key.value not in allowed:
-                    known = ", ".join(sorted(allowed)) or "(none)"
-                    ctx.flag(
-                        module, key, rule,
-                        f"TraceEvent args key '{key.value}' is not in the "
-                        f"'{kind}' vocabulary (known: {known}); add it to "
-                        "EVENT_ARG_FIELDS in repro.obs.events first",
-                    )
-
-
 # -- driver -------------------------------------------------------------------
 
 _PASSES = (
     ("RTX008", check_shared_state),
     ("RTX009", check_unit_flow),
-    ("RTX010", check_trace_emits),
 )
 
 

@@ -10,15 +10,16 @@ Subcommands::
 
 ``lint`` runs the per-file rules (RTX001–RTX006); ``analyze`` parses the
 same tree once, builds the project graph, and runs the flow passes
-(RTX008–RTX010).  Both accept ``--select``/``--ignore`` rule-id filters;
+(RTX008–RTX009).  Both accept ``--select``/``--ignore`` rule-id filters;
 ``analyze`` additionally supports ``--format json``.  Inline
 ``# repro-check: allow`` waivers are the one way to accept a finding.
 
-``replay`` feeds a saved JSONL trace through the same
+``replay`` streams a saved JSONL trace through the same
 :class:`~repro.check.sanitizer.SanitizingSink` the live ``--sanitize``
-path uses, so an archived trace can be re-validated offline — after a
-sanitizer change, or to triage a trace produced on another machine —
-without re-running the simulation that produced it.
+path uses (via :func:`~repro.obs.export.read_jsonl_trace`), so an
+archived trace can be re-validated offline — after a sanitizer change,
+or to triage a trace produced on another machine — without re-running
+the simulation that produced it.
 
 Exit codes follow linter convention: 0 clean, 1 findings (lint/analyze)
 or a sanitizer violation (replay), 2 usage or I/O errors (unreadable
@@ -76,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze_parser = sub.add_parser(
         "analyze",
-        help="whole-program flow analysis (RTX008-010): pool-shared "
-        "state, unit flow, trace-emit conformance",
+        help="whole-program flow analysis (RTX008-009): pool-shared "
+        "state, unit flow",
     )
     analyze_parser.add_argument(
         "paths",
@@ -202,38 +203,16 @@ def _run_replay(trace: str, allow_partial: bool) -> int:
     # Imported here so `repro.check lint` stays usable without the
     # observability stack (and numpy) importable.
     from repro.check.sanitizer import SanitizerError, SanitizingSink
-    from repro.obs.events import TraceEvent
-    from repro.obs.export import iter_jsonl_lines
-    from repro.obs.trace import RunTrace
+    from repro.obs.export import read_jsonl_trace
 
-    trace_path = Path(trace)
-    if not trace_path.is_file():
+    if not Path(trace).is_file():
         print(f"repro.check: no such trace: {trace}", file=sys.stderr)
         return 2
+    # Events are validated as they stream, never buffered, so replay
+    # memory is O(runs + cores) like the live path.
     sink = SanitizingSink()
-    # Header carriers only — events are validated as they stream, never
-    # buffered, so replay memory is O(runs + cores) like the live path.
-    runs: List[RunTrace] = []
     try:
-        for payload in iter_jsonl_lines(trace_path, allow_partial=allow_partial):
-            kind = payload.get("type")
-            if kind == "run":
-                run = RunTrace(
-                    str(payload["label"]),
-                    scheduler=str(payload.get("scheduler", "")),
-                    meta=dict(payload.get("meta", {})),
-                )
-                runs.append(run)
-                sink.begin_run(run)
-            elif kind == "event":
-                if not runs:
-                    raise ValueError("event line before any run header")
-                index = int(payload.get("run", len(runs) - 1))
-                if not 0 <= index < len(runs):
-                    raise ValueError(f"event references unknown run {index}")
-                sink.event(runs[index], TraceEvent.from_dict(payload))
-            else:
-                raise ValueError(f"unknown line type {payload.get('type')!r}")
+        read_jsonl_trace(trace, allow_partial, sink=sink)
         sink.close()
     except SanitizerError as exc:
         print(f"repro.check: {exc}", file=sys.stderr)

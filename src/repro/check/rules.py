@@ -160,29 +160,13 @@ UNIT_FLOW = Rule(
     ),
 )
 
-TRACE_EMIT_CONFORMANCE = Rule(
-    rule_id="RTX010",
-    name="trace-emit-conformance",
-    summary=(
-        "trace emit site whose kind or args keys fall outside the typed "
-        "TraceEvent vocabulary (repro.obs.events), or an emit-helper "
-        "call with an unknown keyword"
-    ),
-    rationale=(
-        "Every downstream consumer — the exporters, the sanitizer, "
-        "tracestats, the replay validator — dispatches on the typed "
-        "kind/field vocabulary in repro.obs.events.  An emit site "
-        "inventing a kind or misspelling an args key produces events "
-        "the pipeline silently drops or mis-aggregates; checking each "
-        "site against EVENT_KINDS/EVENT_ARG_FIELDS keeps the stream "
-        "schema-true at the source."
-    ),
-)
-
 #: Every rule, in id order — the table ``repro.check rules`` renders.
-#: The ids skip the retired cache-key completeness rule (the runtime
-#: now puts every declared option into the cache key itself); its id is
-#: never reused, so inline waivers naming RTX008–RTX010 keep their meaning.
+#: The ids skip two retired rules, never reused, so inline waivers
+#: naming the others keep their meaning: RTX007 cache-key completeness
+#: (the runtime puts every declared option into the cache key itself)
+#: and RTX010 trace-emit conformance (the typed ``RunTrace`` emitters
+#: fix each kind's args keys, and the sanitizer's ``vocabulary`` check
+#: rejects any other kind or key at run time).
 RULES: Tuple[Rule, ...] = (
     WALLCLOCK,
     UNSEEDED_RNG,
@@ -192,7 +176,6 @@ RULES: Tuple[Rule, ...] = (
     ENV_READ,
     PARALLEL_SHARED_STATE,
     UNIT_FLOW,
-    TRACE_EMIT_CONFORMANCE,
 )
 
 #: Rules implemented by the per-file lint (``repro.check lint``).
@@ -201,7 +184,7 @@ LINT_RULE_IDS: Tuple[str, ...] = (
 )
 
 #: Rules implemented by the whole-program analyzer (``repro.check analyze``).
-ANALYZE_RULE_IDS: Tuple[str, ...] = ("RTX008", "RTX009", "RTX010")
+ANALYZE_RULE_IDS: Tuple[str, ...] = ("RTX008", "RTX009")
 
 RULES_BY_ID = {rule.rule_id: rule for rule in RULES}
 

@@ -26,6 +26,10 @@ per-core schedule must hold:
 ``verdict``
     A ``deadline`` verdict is never issued before the core's last busy
     span has ended: the verdict timestamps agree with the spans.
+``vocabulary`` (every event, not selectable, so no profile drops it)
+    The kind and each ``args`` key are in ``EVENT_ARG_FIELDS``.  The
+    typed emitters cannot violate it; replayed files and hand-built
+    events can.
 
 Violations raise :class:`SanitizerError` carrying the offending events.
 
@@ -49,7 +53,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 from repro.obs.events import (
     BUSY_KINDS,
     DEADLINE,
-    GAP,
+    EVENT_ARG_FIELDS,
     MIGRATION_EXECUTED,
     MIGRATION_PLANNED,
     MIGRATION_RETURNED,
@@ -199,8 +203,9 @@ class TraceSanitizer:
     # -- the online checks ---------------------------------------------------
 
     def observe(self, event: TraceEvent) -> None:
-        """Validate one event against the enabled checks."""
+        """Validate one event against the vocabulary and the enabled checks."""
         self.events_checked += 1
+        self._check_vocabulary(event)
         if "nonnegative" in self.checks:
             self._check_nonnegative(event)
         if "monotone" in self.checks:
@@ -224,8 +229,20 @@ class TraceSanitizer:
         if event.kind not in self.unordered_kinds:
             self._last_ts[(event.core, event.kind)] = event
 
+    def _check_vocabulary(self, event: TraceEvent) -> None:
+        fields = EVENT_ARG_FIELDS.get(event.kind)
+        if fields is None:
+            self._fail("vocabulary", f"unknown event kind {event.kind!r}", [event])
+        elif not fields.issuperset(event.args):
+            self._fail(
+                "vocabulary",
+                f"{event.kind} args key(s) {sorted(set(event.args) - fields)} "
+                f"not in {sorted(fields)}",
+                [event],
+            )
+
     def _check_nonnegative(self, event: TraceEvent) -> None:
-        if event.dur_us < 0 or (event.kind == GAP and event.dur_us < 0):
+        if event.dur_us < 0:
             self._fail(
                 "nonnegative",
                 f"{event.kind} span has negative duration {event.dur_us}",

@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Dict, List, Optional
 
@@ -379,8 +380,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
-    if args.scale <= 0:
-        print("error: --scale must be positive", file=sys.stderr)
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        print(
+            f"error: --scale must be a finite positive number, got {args.scale}",
+            file=sys.stderr,
+        )
         return 2
     if args.profile and args.jobs != 1:
         print(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -159,8 +160,8 @@ def run_experiment(
     forwards string-valued keyword arguments the experiment declared at
     registration; passing an undeclared option raises ``ValueError``.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be a finite positive number, got {scale}")
     exp = get_experiment(experiment_id)
     opts = dict(options or {})
     unknown = sorted(set(opts) - set(exp.options))

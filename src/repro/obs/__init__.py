@@ -18,7 +18,11 @@ Exporters: :func:`~repro.obs.export.write_chrome_trace` emits the Chrome
 trace-event JSON that ``chrome://tracing`` and Perfetto load (one process
 per scheduler run, one thread track per core);
 :func:`~repro.obs.export.write_jsonl_trace` emits a line-per-event format
-for programmatic analysis (see :mod:`repro.analysis.tracestats`).
+for programmatic analysis (see :mod:`repro.analysis.tracestats`), and
+:func:`~repro.obs.export.read_jsonl_trace` is its one reader, buffered
+or streamed through a sink.  Each format has exactly one writer, the
+streaming sink; the ``write_*`` helpers replay a buffered tracer
+through it.
 """
 
 from repro.obs.events import (
@@ -39,8 +43,6 @@ from repro.obs.events import (
 from repro.obs.export import (
     ChromeTraceSink,
     JsonlTraceSink,
-    chrome_trace_dict,
-    chrome_trace_json,
     iter_jsonl_lines,
     open_sink,
     read_jsonl_trace,
@@ -86,8 +88,6 @@ __all__ = [
     "TraceStats",
     "Tracer",
     "assert_valid_chrome_trace",
-    "chrome_trace_dict",
-    "chrome_trace_json",
     "get_tracer",
     "iter_jsonl_lines",
     "open_sink",

@@ -73,10 +73,11 @@ SPAN_KINDS = (TASK, SUBTASK, MIGRATION_EXECUTED, GAP)
 #: Per-kind ``args`` vocabulary: every key an emit site may legally put
 #: in :attr:`TraceEvent.args`.  The exporters, the sanitizer, the trace
 #: statistics, and the replay validator all dispatch on these names, so
-#: the set is closed by design — a new field is added *here first*,
-#: then at the emit site (``repro.check analyze`` RTX010 enforces the
-#: order).  The emit helpers in :class:`repro.obs.trace.RunTrace` only
-#: ever populate keys from this table.
+#: the set is closed by design.  The emit helpers in
+#: :class:`repro.obs.trace.RunTrace` take each key as a named parameter
+#: and only ever populate keys from this table; the sanitizer's
+#: ``vocabulary`` check rejects anything else (a trace read from disk,
+#: or a hand-built :class:`TraceEvent`).
 EVENT_ARG_FIELDS: Dict[str, "frozenset[str]"] = {
     ARRIVAL: frozenset(),
     TASK: frozenset({"cache_penalty_us"}),

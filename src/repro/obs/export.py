@@ -48,7 +48,7 @@ from repro.obs.events import (
     SPAN_KINDS,
     TraceEvent,
 )
-from repro.obs.trace import RunTrace, Tracer
+from repro.obs.trace import RunTrace, Tracer, TraceSink
 
 PathLike = Union[str, Path]
 
@@ -87,8 +87,6 @@ class _ChromeRunEncoder:
     Stateful so it works incrementally: thread-name metadata is emitted
     the first time a track appears, and migration flow events are
     derived from the batch ids the schedulers stamp into event args.
-    Both the streaming sink and the in-memory document builder use this
-    encoder, so the two paths cannot drift.
     """
 
     def __init__(self, pid: int, label: str):
@@ -281,29 +279,6 @@ def replay_to_sink(tracer: Tracer, sink) -> None:
             sink.event(run, event)
 
 
-def chrome_trace_dict(tracer: Tracer) -> Dict[str, object]:
-    """Render a buffered tracer as a Chrome trace document (JSON-native)."""
-    events: List[Dict[str, object]] = []
-    for pid, run in enumerate(tracer.runs):
-        encoder = _ChromeRunEncoder(pid, run.label)
-        events.extend(encoder.preamble())
-        for event in run.events:
-            events.extend(encoder.encode(event))
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "source": "repro.obs",
-            "runs": [run.label for run in tracer.runs],
-        },
-    }
-
-
-def chrome_trace_json(tracer: Tracer) -> str:
-    """Deterministically serialized Chrome trace document."""
-    return _dumps(chrome_trace_dict(tracer))
-
-
 def write_chrome_trace(path: PathLike, tracer: Tracer) -> None:
     """Stream a buffered tracer to ``path`` in Chrome trace format."""
     sink = ChromeTraceSink(path)
@@ -349,22 +324,39 @@ def iter_jsonl_lines(
     # A deferred error on the final line is forgiven under allow_partial.
 
 
-def read_jsonl_trace(path: PathLike, allow_partial: bool = False) -> Tracer:
-    """Reload a JSONL trace into a :class:`Tracer` (events reconstructed)."""
-    tracer = Tracer()
-    current: Optional[RunTrace] = None
+def read_jsonl_trace(
+    path: PathLike,
+    allow_partial: bool = False,
+    sink: Optional[TraceSink] = None,
+) -> Tracer:
+    """Reload a JSONL trace into a :class:`Tracer`.
+
+    Each event goes to the run its ``run`` index names, so runs whose
+    lines interleave are rebuilt as written.  With ``sink`` the events
+    stream through it (``begin_run`` per header, ``event`` per line) and
+    nothing is buffered; the caller closes the sink.  An unparseable
+    line, a run header out of index order, or an event naming no earlier
+    run header raises ``ValueError``; a missing required field raises
+    ``KeyError``.
+    """
+    tracer = Tracer(sink=sink)
     for payload in iter_jsonl_lines(path, allow_partial=allow_partial):
-        kind = payload.get("type")
+        kind = payload.get("type") if isinstance(payload, dict) else None
         if kind == "run":
-            current = tracer.begin_run(
+            if int(payload["index"]) != len(tracer.runs):
+                raise ValueError(
+                    f"{path}: run header {payload['index']} out of order"
+                )
+            tracer.begin_run(
                 str(payload["label"]),
                 scheduler=str(payload.get("scheduler", "")),
                 meta=dict(payload.get("meta", {})),
             )
         elif kind == "event":
-            if current is None:
-                raise ValueError(f"{path}: event line before any run header")
-            current.emit(TraceEvent.from_dict(payload))
+            index = int(payload["run"])
+            if not 0 <= index < len(tracer.runs):
+                raise ValueError(f"{path}: event references unknown run {index}")
+            tracer.runs[index].emit(TraceEvent.from_dict(payload))
         else:
-            raise ValueError(f"{path}: unknown line type {payload.get('type')!r}")
+            raise ValueError(f"{path}: unknown line type {kind!r}")
     return tracer

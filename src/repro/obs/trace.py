@@ -101,8 +101,11 @@ class TraceStats:
 class RunTrace:
     """Event buffer (or stream head) for one scheduler run.
 
-    The typed helpers mirror the event vocabulary one-to-one;
-    schedulers call them only behind an ``is not None`` guard, so a
+    The typed helpers mirror the event vocabulary one-to-one: each one
+    is named after its kind and fixes that kind's ``args`` keys
+    (:data:`~repro.obs.events.EVENT_ARG_FIELDS`) in its signature, so an
+    emit site cannot invent a kind or a key.  Schedulers call them only
+    behind an ``is not None`` guard, so a
     disabled trace costs one pointer comparison per site.  Every helper
     funnels through :meth:`emit`, the single point where the kind
     filter, the stats counters, and the streaming sink apply.
@@ -164,11 +167,14 @@ class RunTrace:
         end_us: float,
         bs_id: int = -1,
         sf_index: int = -1,
-        **args: object,
+        cache_penalty_us: Optional[float] = None,
     ) -> None:
         """One pipeline-stage span; silently skipped when empty."""
         if end_us <= start_us:
             return
+        args: Dict[str, object] = {}
+        if cache_penalty_us is not None:
+            args["cache_penalty_us"] = cache_penalty_us
         self.emit(
             TraceEvent(
                 TASK, start_us, core, name=name, dur_us=end_us - start_us,
@@ -184,10 +190,13 @@ class RunTrace:
         end_us: float,
         bs_id: int = -1,
         sf_index: int = -1,
-        **args: object,
+        preempted: Optional[bool] = None,
     ) -> None:
         if end_us <= start_us:
             return
+        args: Dict[str, object] = {}
+        if preempted is not None:
+            args["preempted"] = preempted
         self.emit(
             TraceEvent(
                 SUBTASK, start_us, core, name=name, dur_us=end_us - start_us,
@@ -320,20 +329,6 @@ class RunTrace:
             "begin_meta": dict(self.begin_meta),
             "events": [e.to_dict() for e in self.events],
         }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "RunTrace":
-        meta = dict(payload.get("meta", {}))
-        run = cls(
-            label=str(payload["label"]),
-            scheduler=str(payload.get("scheduler", "")),
-            meta=dict(payload.get("begin_meta", meta)),
-        )
-        run.meta.update(meta)
-        events = payload.get("events", [])
-        if isinstance(events, list):
-            run.events = [TraceEvent.from_dict(e) for e in events]
-        return run
 
 
 class TeeRunTrace(RunTrace):

@@ -96,14 +96,6 @@ class ChainResult:
     code_blocks: int
     cb_crc_pass: List[bool]
 
-    @property
-    def total_iterations(self) -> int:
-        return sum(self.iterations)
-
-    @property
-    def max_iterations_used(self) -> int:
-        return max(self.iterations) if self.iterations else 0
-
 
 @dataclass
 class UplinkTransmitter:

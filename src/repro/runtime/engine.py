@@ -65,7 +65,7 @@ def _output_payload(output: ExperimentOutput) -> Dict[str, object]:
     return {"title": output.title, "text": output.text, "data": output.data}
 
 
-def _output_from_payload(experiment_id: str, payload: Dict[str, object]) -> ExperimentOutput:
+def _output_of_payload(experiment_id: str, payload: Dict[str, object]) -> ExperimentOutput:
     return ExperimentOutput(
         experiment_id=experiment_id,
         title=str(payload["title"]),
@@ -217,7 +217,7 @@ class ExperimentRunner:
         payload = self.cache.get(key)
         if payload is None:
             return None
-        return _output_from_payload(exp.experiment_id, payload)
+        return _output_of_payload(exp.experiment_id, payload)
 
     def _store_whole(
         self,
@@ -266,8 +266,8 @@ class ExperimentRunner:
         options are dropped per-experiment, so a batch mixing
         option-aware and plain experiments works).
         """
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"scale must be a finite positive number, got {scale}")
         experiments = [get_experiment(experiment_id) for experiment_id in ids]
         self._options = dict(options or {})
         report = RunReport(

@@ -54,8 +54,13 @@ class CRanConfig:
             raise ValueError("cores_per_bs must be >= 1")
         if self.num_cores < 0:
             raise ValueError(f"num_cores must be >= 0 (0 derives it), got {self.num_cores}")
-        if self.transport_latency_us < 0:
-            raise ValueError("transport_latency_us must be >= 0")
+        if not (math.isfinite(self.transport_latency_us) and self.transport_latency_us >= 0):
+            raise ValueError(
+                f"transport_latency_us must be finite and >= 0, "
+                f"got {self.transport_latency_us}"
+            )
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
     @property
     def total_cores(self) -> int:

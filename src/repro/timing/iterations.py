@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -247,17 +247,3 @@ class TraceDraw:
 
     iterations: np.ndarray
     crc_pass: np.ndarray
-
-
-def empirical_iteration_model(
-    samples: Optional[np.ndarray] = None,
-    max_iterations: int = DEFAULT_MAX_TURBO_ITERATIONS,
-) -> IterationModel:
-    """Convenience constructor used by examples; returns the default model.
-
-    Hook point for calibrating the model against iteration counts logged
-    from the functional chain (:mod:`repro.phy.chain`); with no samples
-    the published-figure calibration above is returned.
-    """
-    del samples  # calibration from real chain logs is future work
-    return IterationModel(max_iterations=max_iterations)

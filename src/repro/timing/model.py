@@ -23,7 +23,7 @@ Trxproc) samples by least squares — the Table 1 experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,9 +45,6 @@ class ModelCoefficients:
     w1: float = W1_US
     w2: float = W2_US
     w3: float = W3_US
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w0, self.w1, self.w2, self.w3])
 
 
 @dataclass(frozen=True)
@@ -132,10 +129,6 @@ class FitResult:
     coefficients: ModelCoefficients
     r_squared: float
     residuals: np.ndarray
-
-    def summary_row(self) -> List[float]:
-        c = self.coefficients
-        return [c.w0, c.w1, c.w2, c.w3, self.r_squared]
 
 
 def fit_linear_model(

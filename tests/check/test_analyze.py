@@ -22,11 +22,6 @@ FIXTURE_FINDINGS = {
         (24, 4, "RTX008"),
     ],
     "rtx009_unit_flow.py": [(24, 18, "RTX009"), (25, 4, "RTX009")],
-    "rtx010_trace_emit.py": [
-        (15, 41, "RTX010"),
-        (16, 66, "RTX010"),
-        (17, 22, "RTX010"),
-    ],
 }
 
 
@@ -185,40 +180,6 @@ class TestUnitFlowPass:
         assert "`span_ms`" in findings[0].message
 
 
-class TestTraceEmitPass:
-    def test_resolved_constant_kind_is_accepted(self):
-        assert analyze_source(
-            "from repro.obs.events import DEADLINE, TraceEvent\n"
-            "\n"
-            "\n"
-            "def emit(now_us, core):\n"
-            "    return TraceEvent(DEADLINE, now_us, core, "
-            'args={"missed": True})\n'
-        ) == []
-
-    def test_args_dict_keys_are_checked(self):
-        findings = analyze_source(
-            "from repro.obs.events import TraceEvent\n"
-            "\n"
-            "\n"
-            "def emit(now_us, core):\n"
-            '    return TraceEvent("deadline", now_us, core, '
-            'args={"mised": True})\n'
-        )
-        assert [f.rule.rule_id for f in findings] == ["RTX010"]
-        assert "'mised'" in findings[0].message
-
-    def test_vocab_modules_are_exempt(self):
-        assert analyze_source(
-            "from repro.obs.events import TraceEvent\n"
-            "\n"
-            "\n"
-            "def make(now_us, core):\n"
-            '    return TraceEvent("not-a-kind", now_us, core)\n',
-            path="src/repro/obs/helpers.py",
-        ) == []
-
-
 class TestReportJson:
     def test_report_json_shape(self):
         findings = analyze_fixture("rtx008_shared_state.py")
@@ -248,12 +209,12 @@ class TestCli:
         code = main(
             [
                 "analyze", "--format", "json",
-                str(FIXTURES / "rtx010_trace_emit.py"),
+                str(FIXTURES / "rtx009_unit_flow.py"),
             ]
         )
         assert code == 1
         report = json.loads(capsys.readouterr().out)
-        assert report["counts"] == {"RTX010": 3}
+        assert report["counts"] == {"RTX009": 2}
 
     def test_select_filters_on_analyze(self, capsys):
         code = main(

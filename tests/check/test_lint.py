@@ -277,12 +277,13 @@ class TestRuleTable:
 
     def test_ids_unique_and_sequential(self):
         # Ids ascend without duplicates, and are sequential once the
-        # retired RTX007 is counted: it is never reused.
+        # retired RTX007 and RTX010 are counted: they are never reused.
+        retired = ["RTX007", "RTX010"]
         ids = [rule.rule_id for rule in RULES]
         assert ids == sorted(set(ids)) == list(RULES_BY_ID)
-        assert "RTX007" not in RULES_BY_ID
-        assert sorted(ids + ["RTX007"]) == [
-            f"RTX{i:03d}" for i in range(1, len(RULES) + 2)
+        assert not set(retired) & set(RULES_BY_ID)
+        assert sorted(ids + retired) == [
+            f"RTX{i:03d}" for i in range(1, len(RULES) + len(retired) + 1)
         ]
 
 

@@ -53,6 +53,18 @@ class TestReplay:
         assert main(["replay", str(bad)]) == 1
         assert "sanitizer check" in capsys.readouterr().err
 
+    def test_misspelled_kind_and_args_key_exit_one(self, tmp_path, capsys):
+        header = '{"index":0,"label":"r","meta":{},"scheduler":"rt-opex","type":"run"}'
+        for event in (
+            '{"core":0,"kind":"deadlnie","run":0,"ts_us":1.0,"type":"event"}',
+            '{"args":{"mised":true},"core":0,"kind":"deadline","run":0,'
+            '"ts_us":1.0,"type":"event"}',
+        ):
+            bad = tmp_path / "typo.jsonl"
+            bad.write_text(header + "\n" + event + "\n")
+            assert main(["replay", str(bad)]) == 1
+            assert "sanitizer check 'vocabulary'" in capsys.readouterr().err
+
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["replay", "no/such/trace.jsonl"]) == 2
         assert "no such trace" in capsys.readouterr().err

@@ -118,6 +118,29 @@ class TestNegativePaths:
             feed(events)
         assert excinfo.value.check == "verdict"
 
+    @pytest.mark.parametrize("scheduler", ["", "pran", "cloudiq"])
+    def test_unknown_kind_raises_in_every_profile(self, scheduler):
+        event = ev("deadlnie", 1.0, core=0, missed=True)
+        with pytest.raises(SanitizerError) as excinfo:
+            feed([event], scheduler)
+        err = excinfo.value
+        assert err.check == "vocabulary"
+        assert err.events == (event,)
+        assert "'deadlnie'" in str(err)
+
+    def test_unknown_args_key_raises(self):
+        event = ev(DEADLINE, 1.0, core=0, mised=True)
+        with pytest.raises(SanitizerError) as excinfo:
+            feed([event])
+        assert excinfo.value.check == "vocabulary"
+        assert "['mised']" in str(excinfo.value)
+
+    def test_vocabulary_runs_with_no_selected_checks(self):
+        sanitizer = TraceSanitizer(frozenset())
+        with pytest.raises(SanitizerError, match="vocabulary"):
+            sanitizer.observe(ev(TASK, 0.0, core=0, dur=1.0, cache_pnlty_us=2.0))
+        assert "vocabulary" not in ALL_CHECKS
+
 
 class TestCleanStreams:
     def test_well_formed_migration_lifecycle_passes(self):

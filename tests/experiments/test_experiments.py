@@ -37,6 +37,9 @@ class TestRegistry:
     def test_invalid_scale(self):
         with pytest.raises(ValueError):
             run_experiment("table1", scale=0.0)
+        for scale in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite positive"):
+                run_experiment("table1", scale=scale)
 
     def test_outputs_render(self, outputs):
         for output in outputs.values():

@@ -15,7 +15,7 @@ Two cross-checks between the simulation and its timeline export:
 import pytest
 
 from repro.analysis import tracestats
-from repro.obs.export import chrome_trace_json, write_chrome_trace, write_jsonl_trace
+from repro.obs.export import write_chrome_trace, write_jsonl_trace
 from repro.obs.schema import validate_chrome_trace
 from repro.obs.trace import Tracer, tracing
 from repro.runtime import ExperimentRunner
@@ -146,9 +146,10 @@ class TestSerialParallelTraceIdentity:
         assert labels == [run.label for run in parallel.runs]
         assert "rtt=400" in labels[0]
 
-    def test_trace_validates(self, serial_and_parallel):
+    def test_trace_validates(self, serial_and_parallel, tmp_path):
         import json
 
         serial, _ = serial_and_parallel
-        document = json.loads(chrome_trace_json(serial))
-        assert validate_chrome_trace(document) == []
+        path = tmp_path / "serial.json"
+        write_chrome_trace(path, serial)
+        assert validate_chrome_trace(json.loads(path.read_text())) == []

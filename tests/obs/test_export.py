@@ -2,11 +2,12 @@
 
 import json
 
+import pytest
+
 from repro.obs.export import (
     GAP_TID_OFFSET,
     QUEUE_TID,
-    chrome_trace_dict,
-    chrome_trace_json,
+    JsonlTraceSink,
     read_jsonl_trace,
     write_chrome_trace,
     write_jsonl_trace,
@@ -28,13 +29,20 @@ def make_tracer() -> Tracer:
     return tracer
 
 
+def chrome_document(tmp_path):
+    """The Chrome document ``write_chrome_trace`` writes for make_tracer()."""
+    path = tmp_path / "trace.json"
+    write_chrome_trace(path, make_tracer())
+    return json.loads(path.read_text())
+
+
 class TestChromeExport:
-    def test_document_validates(self):
-        document = chrome_trace_dict(make_tracer())
+    def test_document_validates(self, tmp_path):
+        document = chrome_document(tmp_path)
         assert validate_chrome_trace(document) == []
 
-    def test_one_process_per_run(self):
-        document = chrome_trace_dict(make_tracer())
+    def test_one_process_per_run(self, tmp_path):
+        document = chrome_document(tmp_path)
         names = [
             e for e in document["traceEvents"]
             if e["ph"] == "M" and e["name"] == "process_name"
@@ -47,8 +55,8 @@ class TestChromeExport:
             "partitioned rtt=500us", "global-8 rtt=500us",
         ]
 
-    def test_track_assignment(self):
-        document = chrome_trace_dict(make_tracer())
+    def test_track_assignment(self, tmp_path):
+        document = chrome_document(tmp_path)
         spans = {
             (e["pid"], e["cat"]): e["tid"]
             for e in document["traceEvents"] if e["ph"] != "M"
@@ -65,8 +73,8 @@ class TestChromeExport:
         assert thread_names[(0, GAP_TID_OFFSET + 1)] == "core 1 gaps"
         assert thread_names[(1, QUEUE_TID)] == "queue"
 
-    def test_spans_vs_instants(self):
-        document = chrome_trace_dict(make_tracer())
+    def test_spans_vs_instants(self, tmp_path):
+        document = chrome_document(tmp_path)
         by_cat = {}
         for e in document["traceEvents"]:
             if e["ph"] != "M":
@@ -77,16 +85,19 @@ class TestChromeExport:
         assert by_cat["arrival"]["s"] == "t"
         assert by_cat["deadline"]["ph"] == "i"
 
-    def test_bs_sf_land_in_args(self):
-        document = chrome_trace_dict(make_tracer())
+    def test_bs_sf_land_in_args(self, tmp_path):
+        document = chrome_document(tmp_path)
         task = next(
             e for e in document["traceEvents"]
             if e.get("cat") == "task" and e["pid"] == 1
         )
         assert task["args"] == {"bs": 1, "sf": 0, "cache_penalty_us": 5.0}
 
-    def test_serialization_deterministic(self):
-        assert chrome_trace_json(make_tracer()) == chrome_trace_json(make_tracer())
+    def test_serialization_deterministic(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_chrome_trace(a, make_tracer())
+        write_chrome_trace(b, make_tracer())
+        assert a.read_bytes() == b.read_bytes()
 
     def test_write_chrome_trace(self, tmp_path):
         path = tmp_path / "trace.json"
@@ -106,6 +117,50 @@ class TestJsonlExport:
             assert a.scheduler == b.scheduler
             assert a.meta == b.meta
             assert a.events == b.events
+
+    def test_interleaved_runs_keep_their_events(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        sink = JsonlTraceSink(path)
+        source = Tracer(sink=sink)
+        a = source.begin_run("a", scheduler="partitioned")
+        b = source.begin_run("b", scheduler="global")
+        a.task(0, "fft", 0.0, 10.0, 0, 0)
+        b.task(1, "process", 0.0, 20.0, 1, 0, cache_penalty_us=2.0)
+        a.deadline(10.0, 0, False, 0, 0)
+        b.deadline(20.0, 1, True, 1, 0)
+        sink.close()
+        restored = read_jsonl_trace(path)
+        assert [[e.core for e in run.events] for run in restored.runs] == [
+            [0, 0], [1, 1],
+        ]
+        assert restored.runs[1].events[0].args == {"cache_penalty_us": 2.0}
+
+    def test_sink_streams_without_buffering(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_jsonl_trace(path, make_tracer())
+        copy = tmp_path / "copy.jsonl"
+        sink = JsonlTraceSink(copy)
+        restored = read_jsonl_trace(path, sink=sink)
+        sink.close()
+        assert [len(run.events) for run in restored.runs] == [0, 0]
+        assert restored.num_events() == 6
+        assert copy.read_bytes() == path.read_bytes()
+
+    def test_malformed_lines_raise(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_jsonl_trace(path, make_tracer())
+        lines = path.read_text().splitlines()
+        stray = '{"type":"event","run":7,"kind":"gap","ts_us":0.0,"core":0}'
+        cases = [
+            ("unknown run 7", lines + [stray]),
+            ("out of order", [lines[0].replace('"index":0', '"index":1')]),
+            ("unknown line type 'bogus'", ['{"type":"bogus"}']),
+            ("unknown line type None", ["[1, 2]"]),
+        ]
+        for match, body in cases:
+            path.write_text("\n".join(body) + "\n")
+            with pytest.raises(ValueError, match=match):
+                read_jsonl_trace(path)
 
     def test_line_structure(self, tmp_path):
         path = tmp_path / "trace.jsonl"

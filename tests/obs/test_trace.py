@@ -1,14 +1,19 @@
 """Tests for the trace event vocabulary and collection layer."""
 
+import inspect
+
 import pytest
 
 from repro.obs.events import (
     ARRIVAL,
     BUSY_KINDS,
     DEADLINE,
+    EVENT_ARG_FIELDS,
     EVENT_KINDS,
     GAP,
     MIGRATION_EXECUTED,
+    MIGRATION_PLANNED,
+    MIGRATION_RETURNED,
     SPAN_KINDS,
     SUBTASK,
     TASK,
@@ -47,6 +52,7 @@ class TestRunTrace:
         assert event.kind == TASK
         assert (event.core, event.name, event.ts_us, event.dur_us) == (2, "fft", 10.0, 15.0)
         assert (event.bs_id, event.sf_index) == (1, 4)
+        assert event.args == {}  # optional args left out stay out
 
     def test_empty_spans_skipped(self):
         run = RunTrace("r")
@@ -72,16 +78,70 @@ class TestRunTrace:
         assert run.events[0].args == {"usable": False}
 
     def test_payload_round_trip(self):
-        run = RunTrace("label", scheduler="rt-opex", meta={"rtt_us": 500.0})
+        source = Tracer()
+        run = source.begin_run("label", scheduler="rt-opex", meta={"rtt_us": 500.0})
         run.arrival(1.0, 2, 0, 0)
         run.migration_planned(3.0, 2, "fft", 2, [4, 5], 0, 0)
         run.migration_executed(4, "fft", 5.0, 30.0, owner_core=2, shipped=2, completed=2)
         run.migration_returned(31.0, 2, "fft", completed=2, recovered=0)
-        restored = RunTrace.from_payload(run.to_payload())
-        assert restored.label == run.label
-        assert restored.scheduler == run.scheduler
-        assert restored.meta == run.meta
-        assert restored.events == run.events
+        run.meta["sim"] = {"events": 4}  # end-of-run metadata
+        restored = Tracer()
+        restored.ingest_payload(source.payload())
+        (copy,) = restored.runs
+        assert copy.label == run.label
+        assert copy.scheduler == run.scheduler
+        assert copy.meta == run.meta
+        assert copy.begin_meta == run.begin_meta == {"rtt_us": 500.0}
+        assert copy.events == run.events
+
+
+#: Every emitter's optional arguments, set; keyed by the kind the
+#: emitter is named after.
+EMITTER_CALLS = {
+    ARRIVAL: dict(ts_us=1.0, core=0, bs_id=0, sf_index=0),
+    TASK: dict(
+        core=0, name="process", start_us=1.0, end_us=2.0, bs_id=0,
+        sf_index=0, cache_penalty_us=3.0,
+    ),
+    SUBTASK: dict(
+        core=1, name="decode[0]", start_us=1.0, end_us=2.0, bs_id=0,
+        sf_index=0, preempted=True,
+    ),
+    MIGRATION_PLANNED: dict(
+        ts_us=1.0, core=0, task="decode", shipped=2, targets=[1], bs_id=0,
+        sf_index=0, batches=[0],
+    ),
+    MIGRATION_EXECUTED: dict(
+        core=1, task="decode", start_us=1.0, end_us=2.0, owner_core=0,
+        shipped=2, completed=1, bs_id=0, sf_index=0, batch=0,
+    ),
+    MIGRATION_RETURNED: dict(
+        ts_us=2.0, core=0, task="decode", completed=1, recovered=1, bs_id=0,
+        sf_index=0, batch=0,
+    ),
+    GAP: dict(core=0, start_us=2.0, dur_us=5.0, bs_id=0, sf_index=0, usable=False),
+    DEADLINE: dict(
+        ts_us=2.0, core=0, missed=True, bs_id=0, sf_index=0,
+        drop_stage="decode", service="urllc",
+    ),
+}
+
+
+class TestTypedEmitters:
+    def test_one_emitter_per_kind_fills_exactly_its_vocabulary(self):
+        assert sorted(EMITTER_CALLS) == sorted(EVENT_KINDS)
+        for kind, kwargs in EMITTER_CALLS.items():
+            emitter = getattr(RunTrace, kind)
+            optional = {
+                name for name, param in inspect.signature(emitter).parameters.items()
+                if param.default is not inspect.Parameter.empty
+            }
+            assert optional <= set(kwargs), (kind, optional - set(kwargs))
+            run = RunTrace("r")
+            getattr(run, kind)(**kwargs)
+            (event,) = run.events
+            assert event.kind == kind
+            assert set(event.args) == EVENT_ARG_FIELDS[kind], kind
 
 
 class TestTracer:

@@ -134,6 +134,11 @@ class TestSerialRunner:
         with pytest.raises(ValueError):
             ExperimentRunner(jobs=1).run(["fig7"], scale=0.0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match=f"finite positive number, got {scale}"):
+            ExperimentRunner(jobs=1).run(["fig7"], scale=scale)
+
 
 class TestParallelRunner:
     def test_sweep_decomposes_and_matches_serial(self, scratch_registry):

@@ -38,6 +38,21 @@ class TestCRanConfig:
             CRanConfig(num_cores=-1)
         assert CRanConfig(num_cores=0).total_cores == 8
 
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_max_iterations_below_one_rejected(self, bad):
+        # Zero iterations used to build a 0 us planned decode, and pran
+        # then divided by it.
+        with pytest.raises(ValueError, match=f"max_iterations must be >= 1, got {bad}"):
+            CRanConfig(max_iterations=bad)
+        assert CRanConfig(max_iterations=1).max_iterations == 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_transport_latency_rejected(self, bad):
+        # NaN passed the `< 0` test and failed later, unpositioned,
+        # inside three of the schedulers.
+        with pytest.raises(ValueError, match=f"transport_latency_us .* got {bad}"):
+            CRanConfig(transport_latency_us=bad)
+
 
 class TestPlacement:
     def test_paper_mapping_rule(self):

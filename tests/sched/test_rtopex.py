@@ -1,8 +1,11 @@
 """Tests for the RT-OPEX scheduler: migration, preemption, recovery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.obs.trace import RunTrace
 from repro.sched import CRanConfig, PartitionedScheduler, RtOpexScheduler
 from repro.timing.platform import PlatformNoiseModel
 
@@ -164,3 +167,115 @@ class TestOverheadSensitivity:
         a = RtOpexScheduler(small_config, rng=np.random.default_rng(5)).run(small_workload)
         b = RtOpexScheduler(small_config, rng=np.random.default_rng(5)).run(small_workload)
         assert [r.finish_us for r in a.records] == [r.finish_us for r in b.records]
+
+
+#: Decode start of a lone MCS-27 frame on core 0 (FFT migrated, demod
+#: serial): the instant the same-instant cases below aim an arrival at.
+LONE_HEAVY_DECODE_START_US = 1000.214297630713
+
+
+def same_instant_opex_cases():
+    """rt-opex scenarios where two events fall on one instant.
+
+    Returns ``{name: (jobs, scheduler kwargs)}``.
+
+    * ``arrival_and_decode_start`` — a frame arrives on core 2 exactly
+      when core 0's frame starts its decode; the arrival's FFT and the
+      decode then compete for the same helper cores.  The arrival
+      (priority 0) must run first.
+    * ``two_decode_starts`` — two frames arriving together, with FFT
+      migration off so their demod ends coincide, start their decodes
+      at one instant.  They run in the order they were scheduled, so
+      core 0's frame books helpers first.
+    """
+    heavy_late = dataclasses.replace(
+        make_job(1, 0, 27, [4]),
+        arrival_override_us=LONE_HEAVY_DECODE_START_US,
+        deadline_override_us=LONE_HEAVY_DECODE_START_US + 1500.0,
+    )
+    return {
+        "arrival_and_decode_start": ([make_job(0, 0, 27, [4]), heavy_late], {}),
+        "two_decode_starts": (
+            [make_job(0, 0, 27, [4]), make_job(1, 0, 27, [4])],
+            {"migrate_fft": False},
+        ),
+    }
+
+
+def decided_fields(record):
+    """What rt-opex decides per record, migrations included."""
+    return (
+        record.core_id, record.start_us, record.finish_us, record.missed,
+        record.dropped, record.drop_stage, record.gap_us,
+        [
+            (m.task, m.num_subtasks, m.target_core, m.planned_us, m.actual_us,
+             m.recovered_subtasks)
+            for m in record.migrations
+        ],
+    )
+
+
+#: Per-record :func:`decided_fields` and the PCG64 state after the run,
+#: for :func:`same_instant_opex_cases`.
+SAME_INSTANT_PINS = {
+    "arrival_and_decode_start": (
+        [
+            (
+                0, 500.0, 1888.5411539327406, False, False, None, 611.4588460672594,
+                [
+                    ("fft", 1, 4, 74.5, 89.51429763071292, 0),
+                    ("decode", 3, 4, 723.5171428571429, 739.2268563020275, 0),
+                ],
+            ),
+            (
+                2, 1000.214297630713, 2373.764797201844, False, False, None,
+                126.23520279815602,
+                [
+                    ("fft", 1, 4, 74.5, 81.34933380840585, 0),
+                    ("decode", 3, 1, 723.5171428571429, 732.4011657627252, 0),
+                ],
+            ),
+        ],
+        {
+            "state": 290790065184894171192522553462352922540,
+            "inc": 261136684632268670825940853076396136793,
+        },
+    ),
+    "two_decode_starts": (
+        [
+            (
+                0, 500.0, 1906.3314404878558, False, False, None, 593.6685595121442,
+                [("decode", 3, 4, 723.5171428571429, 738.5314404878557, 0)],
+            ),
+            (
+                2, 500.0, 1898.1664766655488, False, False, None, 601.8335233344512,
+                [("decode", 3, 6, 723.5171428571429, 730.3664766655486, 0)],
+            ),
+        ],
+        {
+            "state": 57900626327182248810360271475404325290,
+            "inc": 261136684632268670825940853076396136793,
+        },
+    ),
+}
+
+
+class TestSameInstantOrder:
+    @pytest.mark.parametrize("case", sorted(SAME_INSTANT_PINS))
+    def test_same_instant_events(self, case):
+        jobs, kwargs = same_instant_opex_cases()[case]
+        expected_records, expected_state = SAME_INSTANT_PINS[case]
+        rng = np.random.default_rng(7)
+        trace = RunTrace("r")
+        result = RtOpexScheduler(
+            CRanConfig(transport_latency_us=500.0), rng=rng, trace=trace, **kwargs
+        ).run(jobs)
+        # The two events still coincide: core 0's decode starts on the
+        # instant of the other frame's arrival, or of its decode start.
+        decode_starts = [
+            e.ts_us for e in trace.events if e.kind == "task" and e.name == "decode"
+        ]
+        other = jobs[1].arrival_us if case == "arrival_and_decode_start" else decode_starts[1]
+        assert decode_starts[0] == other
+        assert [decided_fields(r) for r in result.records] == expected_records
+        assert rng.bit_generator.state["state"] == expected_state

@@ -55,6 +55,11 @@ class TestCli:
         assert main(["fig4", "--scale", "0", "--no-cache"]) == 2
         assert "--scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_scale_is_a_usage_error(self, capsys, scale):
+        assert main(["table1", "--scale", scale, "--no-cache"]) == 2
+        assert "--scale must be a finite positive number" in capsys.readouterr().err
+
     def test_no_cache_flag(self, capsys):
         assert main(["fig7", "--scale", "0.01", "--no-cache"]) == 0
         assert "cache off" in capsys.readouterr().out
