@@ -11,7 +11,6 @@ Run:  python examples/schedule_traces.py
 """
 
 from repro import CRanConfig, run_scheduler
-from repro.lte.grid import GridConfig
 from repro.lte.subframe import Subframe, UplinkGrant
 from repro.sched.base import SubframeJob
 from repro.timing.model import LinearTimingModel
@@ -26,10 +25,11 @@ def make_job(bs: int, index: int, mcs: int, iters, rtt: float) -> SubframeJob:
     work = build_subframe_work(
         LinearTimingModel(), grant, list(iters)[: grant.code_blocks] or [1], max_iterations=4
     )
-    sf = Subframe(
-        bs_id=bs, index=index, grant=grant, transport_latency_us=rtt, grid=GridConfig(10.0)
+    sf = Subframe(bs_id=bs, index=index, grant=grant, transport_latency_us=rtt)
+    return SubframeJob(
+        subframe=sf, work=work, noise_us=5.0, load=mcs / 27.0,
+        arrival_us=sf.arrival_us, deadline_us=sf.deadline_us,
     )
-    return SubframeJob(subframe=sf, work=work, noise_us=5.0, load=mcs / 27.0)
 
 
 def timeline(records, num_cores: int, title: str) -> str:

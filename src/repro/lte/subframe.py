@@ -10,10 +10,9 @@ time at the compute node (subframe boundary + transport latency).
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.constants import RX_BUDGET_US, SUBFRAME_US
-from repro.lte.grid import GridConfig
 from repro.lte.mcs import modulation_order, subcarrier_load, transport_block_size
 from repro.lte.segmentation import num_code_blocks
 
@@ -99,7 +98,6 @@ class Subframe:
     grant: UplinkGrant
     snr_db: float = 30.0
     transport_latency_us: float = 0.0
-    grid: GridConfig = field(default_factory=GridConfig)
 
     @cached_property
     def air_time_us(self) -> float:

@@ -11,7 +11,6 @@ paper's trace-replay methodology.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -82,74 +81,49 @@ class SubframeJob:
     Attributes
     ----------
     subframe:
-        Identity, grant, arrival and deadline times.
+        Identity and grant of the subframe.
     work:
         Task graph with actual (drawn) durations and WCET plans.
     noise_us:
         Platform error E for the owning thread's serial execution.
     load:
         The normalized trace load that produced this grant (for Fig. 17).
+    arrival_us, deadline_us:
+        When the job becomes available at the compute node and when its
+        processing must finish.  The builders set them once: an uplink
+        job takes its subframe's ``arrival_us``/``deadline_us``, a Tx
+        job or a traffic class with its own delay budget sets other
+        values.
     kind:
         ``"rx"`` for uplink decode jobs (the default) or ``"tx"`` for
-        downlink encode jobs (Fig. 8's other timeline); Tx jobs carry
-        their own arrival/deadline via the overrides below.
-    arrival_override_us, deadline_override_us:
-        When set, replace the subframe-derived times — used by jobs
-        whose timing is not the standard uplink 2 ms budget.
+        downlink encode jobs (Fig. 8's other timeline).
     service:
         Traffic-class tag (``urllc``/``embb``/``mmtc``); the default
-        ``embb`` is the paper's single-class workload.  Mixed-service
-        builders set this together with ``deadline_override_us`` so the
-        job carries its class's packet delay budget.
+        ``embb`` is the paper's single-class workload.
     """
 
     subframe: Subframe
     work: SubframeWork
     noise_us: float
     load: float
+    arrival_us: float
+    deadline_us: float
     kind: str = "rx"
-    arrival_override_us: Optional[float] = None
-    deadline_override_us: Optional[float] = None
     service: str = "embb"
 
-    @cached_property
-    def arrival_us(self) -> float:
-        if self.arrival_override_us is not None:
-            return self.arrival_override_us
-        return self.subframe.arrival_us
-
-    @cached_property
-    def deadline_us(self) -> float:
-        if self.deadline_override_us is not None:
-            return self.deadline_override_us
-        return self.subframe.deadline_us
-
-    @cached_property
+    @property
     def serial_time_us(self) -> float:
         """Single-core execution time including platform noise."""
         return self.work.total_serial_us + self.noise_us
 
-    @cached_property
+    @property
     def delay_budget_us(self) -> float:
         """Packet delay budget: deadline relative to over-the-air receipt.
 
         Equals ``RX_BUDGET_US`` for the default single-class uplink
-        workload; per-class deadline overrides shrink or stretch it.
+        workload; per-class deadlines shrink or stretch it.
         """
         return self.deadline_us - self.subframe.air_time_us
-
-    @property
-    def optimistic_time_us(self) -> float:
-        """Lower bound used by the slack check: L = 1 on every block."""
-        decode = self.work.decode_task
-        best_subtask = min((s.duration_us / i for s, i in
-                            zip(decode.subtasks, self.work.iterations)), default=0.0)
-        if decode.subtasks:
-            optimistic_decode = decode.serial_us + best_subtask * len(decode.subtasks)
-        else:
-            optimistic_decode = decode.serial_us
-        other = sum(t.serial_duration_us for t in self.work.tasks[:-1])
-        return other + optimistic_decode
 
 
 @dataclass
@@ -395,7 +369,6 @@ def assigned_core_for(job: "SubframeJob", cores_per_bs: int) -> int:
 
 
 def next_partitioned_activation(
-    bs_id: int,
     core_slot: int,
     after_us: float,
     cores_per_bs: int,
@@ -404,10 +377,10 @@ def next_partitioned_activation(
     """Expected arrival of the next subframe assigned to this core.
 
     Core ``(bs_id, slot)`` serves subframes ``j ≡ slot (mod cores_per_bs)``,
-    which arrive every ``cores_per_bs`` ms at ``j*1ms + RTT/2``.  This is
-    the preemption horizon Algorithm 1 plans against.
+    which arrive every ``cores_per_bs`` ms at ``j*1ms + RTT/2`` whatever
+    the basestation.  This is the preemption horizon Algorithm 1 plans
+    against.
     """
-    del bs_id  # placement is per-BS but the arrival phase only needs the slot
     period = cores_per_bs * SUBFRAME_US
     phase = core_slot * SUBFRAME_US + transport_latency_us
     k = math.floor((after_us - phase) / period) + 1

@@ -51,7 +51,7 @@ class DelayAwareScheduler(SharedQueueScheduler):
     def _priority(self, job: SubframeJob, now: float) -> float:
         """M-LWDF-style urgency of dispatching ``job`` at ``now``."""
         hol_delay = max(0.0, now - job.subframe.air_time_us)
-        criticality = (hol_delay + job.optimistic_time_us) / job.delay_budget_us
+        criticality = (hol_delay + job.work.optimistic_total_us) / job.delay_budget_us
         efficiency = throughput_mbps(job.subframe.grant.mcs) / self._peak_throughput
         return criticality * (1.0 + efficiency)
 

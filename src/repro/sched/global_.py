@@ -131,7 +131,7 @@ class SharedQueueScheduler:
                 start = now + self.dispatch_overhead_us
                 # A queued subframe whose deadline cannot possibly be met
                 # any more is dropped by the dispatcher.
-                if start + job.optimistic_time_us > job.deadline_us:
+                if start + job.work.optimistic_total_us > job.deadline_us:
                     drop(record, "dispatch", now)
                     continue
                 core_idle[idle_core] = False

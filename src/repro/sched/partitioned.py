@@ -72,7 +72,7 @@ class PartitionedScheduler:
             core_free_at[core] = finish
             slot = sf.index % config.cores_per_bs
             activation = next_partitioned_activation(
-                sf.bs_id, slot, finish, config.cores_per_bs, config.transport_latency_us
+                slot, finish, config.cores_per_bs, config.transport_latency_us
             )
             record.gap_us = max(0.0, activation - finish)
             if trace is not None:
@@ -113,7 +113,12 @@ class PartitionedScheduler:
                 duration += noise_left
                 noise_left = 0.0
             if self.config.drop_on_slack_check:
-                optimistic = self._optimistic_task_time(job, task.name)
+                # Model-based lower bound: FFT/demod are deterministic,
+                # decode assumes one iteration per code block.
+                if task.name == "decode":
+                    optimistic = job.work.optimistic_decode_us
+                else:
+                    optimistic = task.serial_duration_us
                 if now + optimistic > deadline:
                     record.dropped = True
                     record.drop_stage = task.name
@@ -130,20 +135,3 @@ class PartitionedScheduler:
                 record.missed = True
                 return deadline  # terminated at the deadline
         return now
-
-    def _optimistic_task_time(self, job: SubframeJob, task_name: str) -> float:
-        """Model-based lower bound on a task's execution time.
-
-        FFT/demod are deterministic; decode's bound assumes one
-        iteration per code block (L = 1), so a drop happens only when
-        the deadline is unreachable even in the best case.
-        """
-        task = job.work.task(task_name)
-        if task_name != "decode":
-            return task.serial_duration_us
-        if not task.subtasks:
-            return task.serial_duration_us
-        one_iter_total = sum(
-            s.duration_us / l for s, l in zip(task.subtasks, job.work.iterations)
-        )
-        return task.serial_us + one_iter_total

@@ -228,8 +228,7 @@ class RtOpexScheduler:
                         and activation - activation_period <= start
                     ):
                         activation = next_partitioned_activation(
-                            c // cores_per_bs, c % cores_per_bs,
-                            start, cores_per_bs, transport,
+                            c % cores_per_bs, start, cores_per_bs, transport,
                         )
                         closed_act[c] = activation
                 horizon = activation if activation < deadline else deadline
@@ -435,11 +434,10 @@ class RtOpexScheduler:
 
         def start_decode(job: SubframeJob, record: SubframeRecord, now: float, me: int) -> None:
             deadline = job.deadline_us
-            decode = job.work.task("decode")
-            optimistic = decode.serial_us + sum(
-                s.duration_us / l for s, l in zip(decode.subtasks, job.work.iterations)
-            ) if decode.subtasks else decode.serial_duration_us
-            if self.config.drop_on_slack_check and now + optimistic > deadline:
+            if (
+                self.config.drop_on_slack_check
+                and now + job.work.optimistic_decode_us > deadline
+            ):
                 record.dropped = True
                 record.missed = True
                 record.drop_stage = "decode"
@@ -460,11 +458,7 @@ class RtOpexScheduler:
             record.finish_us = finish
             slot = job.subframe.index % config.cores_per_bs
             activation = next_partitioned_activation(
-                job.subframe.bs_id,
-                slot,
-                finish,
-                config.cores_per_bs,
-                config.transport_latency_us,
+                slot, finish, config.cores_per_bs, config.transport_latency_us
             )
             record.gap_us = max(0.0, activation - finish)
             if record.dropped:

@@ -17,17 +17,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.lte.grid import GridConfig
-from repro.lte.subframe import Subframe
 from repro.sched.base import CRanConfig, SchedulerResult, SubframeJob
+from repro.sched.cloudiq import CloudIqScheduler
+from repro.sched.das import DelayAwareScheduler
 from repro.sched.global_ import GlobalScheduler
 from repro.sched.partitioned import PartitionedScheduler
+from repro.sched.pran import PranScheduler
 from repro.sched.rtopex import RtOpexScheduler
 from repro.sim.rng import RngStreams
 from repro.timing.iterations import IterationModel
 from repro.timing.model import LinearTimingModel
 from repro.timing.platform import PlatformNoiseModel
-from repro.timing.tasks import build_subframe_work
 from repro.workload.mapping import GrantMapper
 from repro.workload.traces import CellularTraceGenerator
 
@@ -37,7 +37,8 @@ def resolve_loads(
 ) -> np.ndarray:
     """``loads`` as a ``(num_basestations, num_subframes)`` float array,
     generated from the default trace model (seeded by ``seed``) when
-    ``None``; any other shape is rejected."""
+    ``None``.  Any other shape is rejected, and so is a NaN or a load
+    outside [0, 1], naming its ``(bs, subframe)``."""
     if loads is None:
         generator = CellularTraceGenerator(seed=seed)
         if generator.num_basestations < config.num_basestations:
@@ -50,55 +51,13 @@ def resolve_loads(
         raise ValueError(
             f"loads must be shaped {(config.num_basestations, num_subframes)}, got {loads.shape}"
         )
-    return loads
-
-
-def resolve_workload_inputs(
-    config: CRanConfig,
-    num_subframes: int,
-    seed: int,
-    loads: Optional[np.ndarray],
-    timing_model: Optional[LinearTimingModel],
-    iteration_model: Optional[IterationModel],
-    noise_model: Optional[PlatformNoiseModel],
-    mapper: Optional[GrantMapper],
-    transport_jitter: Optional[np.ndarray],
-) -> Tuple[
-    LinearTimingModel, IterationModel, PlatformNoiseModel, GrantMapper, np.ndarray, np.ndarray
-]:
-    """Default models, load generation and input checks for one workload.
-
-    Shared by :func:`build_workload_legacy` and
-    :func:`repro.workload.soa.build_workload_arrays`, which take the
-    same parameters; it draws from none of their RNG streams.  Returns
-    ``(timing, iterations, noise, mapper, loads, transport_us)``, where
-    ``transport_us`` is the effective RTT/2 (``transport_latency_us``
-    plus the jitter) per (bs, subframe), shaped like ``loads``.  Each
-    must be finite and >= 0: a NaN arrival never misses, and a negative
-    one is processed before it is received.
-    """
-    timing = timing_model if timing_model is not None else LinearTimingModel()
-    iters = iteration_model if iteration_model is not None else IterationModel(
-        max_iterations=config.max_iterations
-    )
-    noise = noise_model if noise_model is not None else PlatformNoiseModel()
-    grants = mapper if mapper is not None else GrantMapper(num_antennas=config.num_antennas)
-
-    loads = resolve_loads(config, num_subframes, seed, loads)
-    transport_us = np.full(loads.shape, config.transport_latency_us, dtype=np.float64)
-    if transport_jitter is not None:
-        transport_jitter = np.asarray(transport_jitter, dtype=np.float64)
-        if transport_jitter.shape != loads.shape:
-            raise ValueError("transport_jitter must match the loads shape")
-        transport_us = transport_us + transport_jitter
-    bad = ~(np.isfinite(transport_us) & (transport_us >= 0.0))
+    bad = ~((loads >= 0.0) & (loads <= 1.0))  # NaN fails both
     if bad.any():
         bs, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise ValueError(
-            f"effective RTT/2 at (bs={bs}, subframe={j}) is {transport_us[bs, j]} us; "
-            "transport_latency_us + transport_jitter must be finite and >= 0"
+            f"load at (bs={bs}, subframe={j}) is {loads[bs, j]}; load must be in [0, 1]"
         )
-    return timing, iters, noise, grants, loads, transport_us
+    return loads
 
 
 def build_workload(
@@ -114,13 +73,14 @@ def build_workload(
 ) -> List[SubframeJob]:
     """Materialize the per-subframe jobs for one experiment.
 
-    Dispatches to the array-native pipeline
-    (:mod:`repro.workload.soa`) whenever the mapper/iteration/timing
-    models are the stock types whose vectorized forms are proven
-    bit-identical; subclasses overriding the scalar hooks fall back to
-    :func:`build_workload_legacy`.  Both paths consume the RNG streams
-    identically and return equal job lists (asserted by the golden and
-    property tests), so callers never observe which one ran.
+    The columns come from
+    :func:`~repro.workload.soa.build_workload_arrays` and the jobs from
+    :func:`~repro.workload.soa.materialize_jobs`.  The models are
+    reached only through these methods, so a subclass that overrides
+    them is honoured: ``GrantMapper.mcs_for_trace``,
+    ``IterationModel.draw_trace``, ``PlatformNoiseModel.draw_one`` and
+    the Eq. (1) methods of ``LinearTimingModel`` that
+    :func:`~repro.timing.tasks.build_subframe_work` calls.
 
     Parameters
     ----------
@@ -132,27 +92,11 @@ def build_workload(
         ``config.transport_latency_us`` (e.g. drawn from the cloud
         model); zero by default, matching the paper's fixed-RTT runs.
     """
-    fast = (
-        (mapper is None or type(mapper) is GrantMapper)
-        and (iteration_model is None or type(iteration_model) is IterationModel)
-        and (timing_model is None or type(timing_model) is LinearTimingModel)
-    )
-    if fast:
-        from repro.workload.soa import build_workload_arrays, materialize_jobs
+    # Looked up on the module at call time, so wrappers installed
+    # there (e.g. timing probes) see every build.
+    from repro.workload import soa
 
-        arrays = build_workload_arrays(
-            config,
-            num_subframes,
-            seed=seed,
-            loads=loads,
-            timing_model=timing_model,
-            iteration_model=iteration_model,
-            noise_model=noise_model,
-            mapper=mapper,
-            transport_jitter=transport_jitter,
-        )
-        return materialize_jobs(arrays)
-    return build_workload_legacy(
+    arrays = soa.build_workload_arrays(
         config,
         num_subframes,
         seed=seed,
@@ -163,73 +107,20 @@ def build_workload(
         mapper=mapper,
         transport_jitter=transport_jitter,
     )
+    return soa.materialize_jobs(arrays)
 
 
-def build_workload_legacy(
-    config: CRanConfig,
-    num_subframes: int,
-    seed: int = 2016,
-    loads: Optional[np.ndarray] = None,
-    timing_model: Optional[LinearTimingModel] = None,
-    iteration_model: Optional[IterationModel] = None,
-    noise_model: Optional[PlatformNoiseModel] = None,
-    mapper: Optional[GrantMapper] = None,
-    transport_jitter: Optional[np.ndarray] = None,
-) -> List[SubframeJob]:
-    """The scalar per-subframe builder (reference implementation).
-
-    Retained verbatim as the semantic ground truth for the SoA fast
-    path: the identity tests build the same experiment through both
-    and require equal job lists.
-    """
-    streams = RngStreams(seed)
-    timing, iters, noise, grants, loads, transport_us = resolve_workload_inputs(
-        config, num_subframes, seed, loads, timing_model, iteration_model,
-        noise_model, mapper, transport_jitter,
-    )
-
-    grid = GridConfig(10.0)
-    iter_rng = streams.stream("iterations")
-    noise_rng = streams.stream("platform-noise")
-
-    jobs: List[SubframeJob] = []
-    for bs in range(config.num_basestations):
-        for j in range(num_subframes):
-            load = float(loads[bs, j])
-            grant = grants.grant_for_load(load)
-            draw = iters.draw_subframe(
-                grant.mcs, config.snr_db, iter_rng, num_blocks=grant.code_blocks
-            )
-            work = build_subframe_work(
-                timing,
-                grant,
-                draw.iterations,
-                max_iterations=config.max_iterations,
-                crc_pass=draw.crc_pass,
-            )
-            subframe = Subframe(
-                bs_id=bs,
-                index=j,
-                grant=grant,
-                snr_db=config.snr_db,
-                transport_latency_us=float(transport_us[bs, j]),
-                grid=grid,
-            )
-            jobs.append(
-                SubframeJob(
-                    subframe=subframe,
-                    work=work,
-                    noise_us=noise.draw_one(noise_rng),
-                    load=load,
-                )
-            )
-    return jobs
-
-
-#: Schedulers that accept a ``trace=`` keyword — all six policies.
-TRACEABLE_SCHEDULERS = (
-    "partitioned", "global", "rt-opex", "rtopex", "pran", "cloudiq", "das"
-)
+#: Each policy's scheduler class and the RNG stream it draws from
+#: (``None`` for the two that draw nothing); ``rtopex`` is an alias.
+SCHEDULERS: Dict[str, Tuple[type, Optional[str]]] = {
+    "partitioned": (PartitionedScheduler, None),
+    "global": (GlobalScheduler, "global"),
+    "rt-opex": (RtOpexScheduler, "rtopex"),
+    "rtopex": (RtOpexScheduler, "rtopex"),
+    "pran": (PranScheduler, "pran"),
+    "cloudiq": (CloudIqScheduler, None),
+    "das": (DelayAwareScheduler, "das"),
+}
 
 
 def run_scheduler(
@@ -274,15 +165,16 @@ def run_scheduler(
     from repro.check.sanitizer import SanitizingTrace, sanitize_enabled
     from repro.obs.events import resolve_kinds
     from repro.obs.trace import RunTrace, TeeRunTrace, get_tracer
-    from repro.sched.cloudiq import CloudIqScheduler
-    from repro.sched.pran import PranScheduler
 
+    if name not in SCHEDULERS:
+        raise ValueError(f"unknown scheduler {name!r}")
+    scheduler_cls, stream = SCHEDULERS[name]
     if sanitize is None:
         sanitize = sanitize_enabled()
     tracer = get_tracer()
     capture_run: Optional[RunTrace] = None
     sanitizing_run: Optional[SanitizingTrace] = None
-    if name in TRACEABLE_SCHEDULERS and "trace" not in kwargs:
+    if "trace" not in kwargs:
         label = (
             f"{name} rtt={config.transport_latency_us:g}us "
             f"cores={config.total_cores}"
@@ -310,23 +202,11 @@ def run_scheduler(
         elif targets:
             kwargs["trace"] = targets[0]
 
-    streams = RngStreams(seed)
-    if name == "partitioned":
-        result = PartitionedScheduler(config, **kwargs).run(jobs)
-    elif name == "global":
-        result = GlobalScheduler(config, rng=streams.stream("global"), **kwargs).run(jobs)
-    elif name in ("rt-opex", "rtopex"):
-        result = RtOpexScheduler(config, rng=streams.stream("rtopex"), **kwargs).run(jobs)
-    elif name == "pran":
-        result = PranScheduler(config, rng=streams.stream("pran"), **kwargs).run(jobs)
-    elif name == "cloudiq":
-        result = CloudIqScheduler(config, **kwargs).run(jobs)
-    elif name == "das":
-        from repro.sched.das import DelayAwareScheduler
-
-        result = DelayAwareScheduler(config, rng=streams.stream("das"), **kwargs).run(jobs)
+    if stream is None:
+        scheduler = scheduler_cls(config, **kwargs)
     else:
-        raise ValueError(f"unknown scheduler {name!r}")
+        scheduler = scheduler_cls(config, rng=RngStreams(seed).stream(stream), **kwargs)
+    result = scheduler.run(jobs)
     if sanitizing_run is not None:
         # End-of-run validation (dangling migration batches) + attestation.
         sanitizing_run.finish()

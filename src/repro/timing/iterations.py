@@ -180,7 +180,7 @@ class IterationModel:
         computed once instead of per subframe, and ``math.log`` keeps the
         libm scalar semantics (``np.log`` may vectorize differently), so
         the draws — and the generator state afterwards — are
-        bit-identical to the legacy loop.
+        bit-identical to the per-subframe calls.
         """
         mcs_list = np.asarray(mcs, dtype=np.int64).tolist()
         offsets = np.asarray(block_offsets, dtype=np.int64).tolist()

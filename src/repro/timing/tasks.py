@@ -84,6 +84,30 @@ class SubframeWork:
     def decode_task(self) -> TaskSpec:
         return self.tasks[-1]
 
+    @cached_property
+    def optimistic_decode_us(self) -> float:
+        """Best-case decode time: one turbo iteration on every code block.
+
+        The slack check's lower bound (sec. 4.1) — a subframe is
+        dropped only when even this cannot meet the deadline.  A decode
+        with no subtasks (serial decode, or a graph whose last task is
+        not a decode) has no iteration term to shrink.
+        """
+        decode = self.decode_task
+        if not decode.subtasks:
+            return decode.serial_duration_us
+        return decode.serial_us + sum(
+            s.duration_us / l for s, l in zip(decode.subtasks, self.iterations)
+        )
+
+    @cached_property
+    def optimistic_total_us(self) -> float:
+        """Best-case single-core time: the other tasks' serial time plus
+        :attr:`optimistic_decode_us`."""
+        return (
+            sum(t.serial_duration_us for t in self.tasks[:-1]) + self.optimistic_decode_us
+        )
+
     def task(self, name: str) -> TaskSpec:
         for t in self.tasks:
             if t.name == name:

@@ -13,14 +13,13 @@ from typing import List, Optional
 import numpy as np
 
 from repro.constants import SUBFRAME_US
-from repro.lte.grid import GridConfig
 from repro.lte.subframe import Subframe
 from repro.sched.base import CRanConfig, SubframeJob
+from repro.sched.runner import resolve_loads
 from repro.sim.rng import RngStreams
 from repro.timing.downlink import DownlinkTimingModel, build_tx_work
 from repro.timing.platform import PlatformNoiseModel
 from repro.workload.mapping import GrantMapper
-from repro.workload.traces import CellularTraceGenerator
 
 
 def build_tx_jobs(
@@ -42,19 +41,8 @@ def build_tx_jobs(
     timing = timing_model if timing_model is not None else DownlinkTimingModel()
     noise = noise_model if noise_model is not None else PlatformNoiseModel()
     grants = mapper if mapper is not None else GrantMapper(num_antennas=config.num_antennas)
+    loads = resolve_loads(config, num_subframes, seed + 7, loads)
 
-    if loads is None:
-        generator = CellularTraceGenerator(seed=seed + 7)
-        if generator.num_basestations < config.num_basestations:
-            raise ValueError("default trace model has too few basestations; pass loads=")
-        loads = generator.generate(num_subframes)[: config.num_basestations]
-    loads = np.asarray(loads, dtype=np.float64)
-    if loads.shape != (config.num_basestations, num_subframes):
-        raise ValueError(
-            f"loads must be shaped {(config.num_basestations, num_subframes)}, got {loads.shape}"
-        )
-
-    grid = GridConfig(10.0)
     noise_rng = streams.stream("tx-noise")
     jobs: List[SubframeJob] = []
     for bs in range(config.num_basestations):
@@ -68,7 +56,6 @@ def build_tx_jobs(
                 grant=grant,
                 snr_db=config.snr_db,
                 transport_latency_us=config.transport_latency_us,
-                grid=grid,
             )
             jobs.append(
                 SubframeJob(
@@ -78,9 +65,9 @@ def build_tx_jobs(
                     load=load,
                     kind="tx",
                     # Encoding starts 1 ms before over-the-air Tx ...
-                    arrival_override_us=(k - 1) * SUBFRAME_US,
+                    arrival_us=(k - 1) * SUBFRAME_US,
                     # ... and the samples must reach the radio in time.
-                    deadline_override_us=k * SUBFRAME_US - config.transport_latency_us,
+                    deadline_us=k * SUBFRAME_US - config.transport_latency_us,
                 )
             )
     return jobs

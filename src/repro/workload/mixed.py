@@ -9,10 +9,9 @@ the class tag plus the class's packet-delay-budget deadline.
 Determinism contract: class assignment and burst envelopes draw from
 their own named RNG streams (``service-class``, ``burst``), so the
 iteration and platform-noise streams see exactly the sequence the
-single-class builder gives them for the same load values.  A
-single-class eMBB mix takes the fast path straight through
-:func:`~repro.sched.runner.build_workload` — byte-identical jobs,
-which is what the golden-trace suite pins.
+single-class builder gives them for the same load values.  A plain
+eMBB mix (steady, unscaled, the 2 ms budget) therefore builds exactly
+the jobs of :func:`~repro.sched.runner.build_workload`.
 """
 
 from __future__ import annotations
@@ -22,23 +21,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.constants import RX_BUDGET_US
 from repro.sched.base import CRanConfig, SubframeJob
 from repro.sim.rng import RngStreams
 from repro.workload.bursty import burst_envelope, shape_loads
-from repro.workload.classes import DEFAULT_SERVICE, ServiceMix, single_class_mix
-
-
-def _is_plain_embb(mix: ServiceMix) -> bool:
-    if not mix.is_single_class:
-        return False
-    cls = mix.classes[0]
-    return (
-        cls.name == DEFAULT_SERVICE
-        and cls.delay_budget_us == RX_BUDGET_US
-        and cls.burst == "steady"
-        and cls.load_scale == 1.0
-    )
+from repro.workload.classes import ServiceMix, single_class_mix
 
 
 def mixed_loads(
@@ -78,7 +64,7 @@ def build_mixed_workload(
     """Materialize the per-subframe jobs of a mixed-service scenario.
 
     Each job is tagged with its class and carries
-    ``deadline_override_us = air_time + delay_budget`` so every
+    ``deadline_us = air_time + delay_budget`` so every
     scheduler — none of which know about classes — enforces the
     per-class budget through the ordinary deadline field.
     """
@@ -93,11 +79,6 @@ def build_mixed_workload(
                 f"clear the transport latency {config.transport_latency_us:g}us"
             )
     loads = resolve_loads(config, num_subframes, seed, loads)
-
-    if _is_plain_embb(mix):
-        # Fast path: today's workload, bit for bit.
-        return build_workload(config, num_subframes, seed=seed, loads=loads)
-
     assignment, shaped = mixed_loads(mix, loads, seed)
     jobs = build_workload(config, num_subframes, seed=seed, loads=shaped)
 
@@ -110,7 +91,7 @@ def build_mixed_workload(
             replace(
                 job,
                 service=cls.name,
-                deadline_override_us=sf.air_time_us + cls.delay_budget_us,
+                deadline_us=sf.air_time_us + cls.delay_budget_us,
             )
         )
     return tagged

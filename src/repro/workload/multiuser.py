@@ -15,16 +15,15 @@ from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.lte.grid import GridConfig
 from repro.lte.subframe import Subframe, interned_grant
 from repro.sched.base import CRanConfig, SubframeJob
+from repro.sched.runner import resolve_loads
 from repro.sim.rng import RngStreams
 from repro.timing.iterations import IterationModel
 from repro.timing.model import LinearTimingModel
 from repro.timing.multiuser import build_multiuser_work
 from repro.timing.platform import PlatformNoiseModel
 from repro.workload.mapping import GrantMapper
-from repro.workload.traces import CellularTraceGenerator
 
 if TYPE_CHECKING:
     from repro.workload.classes import ServiceMix
@@ -99,17 +98,8 @@ def build_multiuser_workload(
     )
     noise = noise_model if noise_model is not None else PlatformNoiseModel()
     mapper = GrantMapper(num_antennas=config.num_antennas)
+    loads = resolve_loads(config, num_subframes, seed, loads)
 
-    if loads is None:
-        generator = CellularTraceGenerator(seed=seed)
-        loads = generator.generate(num_subframes)[: config.num_basestations]
-    loads = np.asarray(loads, dtype=np.float64)
-    if loads.shape != (config.num_basestations, num_subframes):
-        raise ValueError(
-            f"loads must be shaped {(config.num_basestations, num_subframes)}"
-        )
-
-    grid = GridConfig(10.0)
     split_rng = streams.stream("mu-split")
     iter_rng = streams.stream("mu-iterations")
     noise_rng = streams.stream("mu-noise")
@@ -167,16 +157,15 @@ def build_multiuser_workload(
                 grant=grants[0],
                 snr_db=config.snr_db,
                 transport_latency_us=config.transport_latency_us,
-                grid=grid,
             )
             if user_classes:
                 # The subframe finishes when its slowest user decodes, so
                 # the job inherits the *tightest* user budget present.
                 critical = min(user_classes, key=lambda c: c.delay_budget_us)
-                deadline_override = subframe.air_time_us + critical.delay_budget_us
+                deadline = subframe.air_time_us + critical.delay_budget_us
                 service = critical.name
             else:
-                deadline_override = None
+                deadline = subframe.deadline_us
                 service = "embb"
             jobs.append(
                 SubframeJob(
@@ -184,7 +173,8 @@ def build_multiuser_workload(
                     work=work,
                     noise_us=noise.draw_one(noise_rng),
                     load=load,
-                    deadline_override_us=deadline_override,
+                    arrival_us=subframe.arrival_us,
+                    deadline_us=deadline,
                     service=service,
                 )
             )

@@ -12,12 +12,9 @@ platform-noise draw (whose conditional uniforms preclude batching).
 builder — once per distinct (MCS, iteration vector, CRC) and sharing
 the result, with one interned grant per MCS.
 
-The contract is byte-identity: for the default model types the job list
-compares equal, field for field, with the scalar builder retained as
-``build_workload_legacy`` in :mod:`repro.sched.runner` — both start from
-:func:`~repro.sched.runner.resolve_workload_inputs`, consume the RNG
-streams bit-for-bit identically and build task graphs with the same
-function.
+This is the only workload path: :func:`repro.sched.runner.build_workload`
+is ``materialize_jobs(build_workload_arrays(...))``.  The golden traces
+and the perfbench pins hold its output fixed.
 """
 
 from __future__ import annotations
@@ -27,10 +24,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.lte.grid import GridConfig
 from repro.lte.subframe import Subframe, interned_grant
 from repro.sched.base import CRanConfig, SubframeJob
-from repro.sched.runner import resolve_workload_inputs
+from repro.sched.runner import resolve_loads
 from repro.sim.rng import RngStreams
 from repro.timing.iterations import IterationModel
 from repro.timing.model import LinearTimingModel
@@ -43,9 +39,8 @@ from repro.workload.mapping import GrantMapper
 class WorkloadArrays:
     """Columnar form of one experiment's workload.
 
-    Per-subframe columns are ordered basestation-major — exactly the
-    legacy builder's ``(bs, subframe)`` loop order, so materialized
-    jobs come out in the same sequence.  ``iterations`` is the flat
+    Per-subframe columns are ordered basestation-major, ``(bs,
+    subframe)``, and the materialized jobs come out in that order.  ``iterations`` is the flat
     per-code-block draw; ``block_offsets[i]:block_offsets[i + 1]`` is
     subframe ``i``'s slice of it.
     """
@@ -81,18 +76,38 @@ def build_workload_arrays(
     mapper: Optional[GrantMapper] = None,
     transport_jitter: Optional[np.ndarray] = None,
 ) -> WorkloadArrays:
-    """Columnar equivalent of :func:`repro.sched.runner.build_workload`.
+    """The columns of :func:`repro.sched.runner.build_workload`, which
+    takes the same parameters.
 
-    Accepts the same parameters and consumes the same RNG streams in
-    the same order; see the module docstring for the identity contract.
+    Model defaults are the stock types.  The effective RTT/2
+    (``transport_latency_us`` plus the jitter) must be finite and >= 0
+    at every (bs, subframe): a NaN arrival never misses, and a negative
+    one is processed before it is received.
     """
-    streams = RngStreams(seed)
-    timing, iters, noise, grants, loads, transport_us = resolve_workload_inputs(
-        config, num_subframes, seed, loads, timing_model, iteration_model,
-        noise_model, mapper, transport_jitter,
+    timing = timing_model if timing_model is not None else LinearTimingModel()
+    iters = iteration_model if iteration_model is not None else IterationModel(
+        max_iterations=config.max_iterations
     )
+    noise = noise_model if noise_model is not None else PlatformNoiseModel()
+    grants = mapper if mapper is not None else GrantMapper(num_antennas=config.num_antennas)
 
-    load_flat = loads.ravel()  # C order == the legacy (bs, subframe) loop
+    loads = resolve_loads(config, num_subframes, seed, loads)
+    transport_us = np.full(loads.shape, config.transport_latency_us, dtype=np.float64)
+    if transport_jitter is not None:
+        transport_jitter = np.asarray(transport_jitter, dtype=np.float64)
+        if transport_jitter.shape != loads.shape:
+            raise ValueError("transport_jitter must match the loads shape")
+        transport_us = transport_us + transport_jitter
+    bad = ~(np.isfinite(transport_us) & (transport_us >= 0.0))
+    if bad.any():
+        bs, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise ValueError(
+            f"effective RTT/2 at (bs={bs}, subframe={j}) is {transport_us[bs, j]} us; "
+            "transport_latency_us + transport_jitter must be finite and >= 0"
+        )
+
+    streams = RngStreams(seed)
+    load_flat = loads.ravel()  # C order: (bs, subframe)
     n = load_flat.size
     mcs = grants.mcs_for_trace(load_flat)
 
@@ -143,7 +158,6 @@ def materialize_jobs(arrays: WorkloadArrays) -> List[SubframeJob]:
     the job list allocates O(distinct) value objects instead of
     O(subframes).
     """
-    grid = GridConfig(10.0)
     mcs = arrays.mcs.tolist()
     bs_id = arrays.bs_id.tolist()
     index = arrays.subframe_index.tolist()
@@ -171,19 +185,21 @@ def materialize_jobs(arrays: WorkloadArrays) -> List[SubframeJob]:
                 max_iterations=arrays.max_iterations,
                 crc_pass=crc[i],
             )
+        sf = Subframe(
+            bs_id=bs_id[i],
+            index=index[i],
+            grant=grants[m],
+            snr_db=snr_db,
+            transport_latency_us=latency[i],
+        )
         jobs.append(
             SubframeJob(
-                subframe=Subframe(
-                    bs_id=bs_id[i],
-                    index=index[i],
-                    grant=grants[m],
-                    snr_db=snr_db,
-                    transport_latency_us=latency[i],
-                    grid=grid,
-                ),
+                subframe=sf,
                 work=work,
                 noise_us=noise[i],
                 load=load[i],
+                arrival_us=sf.arrival_us,
+                deadline_us=sf.deadline_us,
             )
         )
     return jobs

@@ -2,7 +2,6 @@
 
 import dataclasses
 
-from repro.lte.grid import GridConfig
 from repro.lte.subframe import Subframe, UplinkGrant
 from repro.sched.base import SubframeJob
 from repro.timing.model import LinearTimingModel
@@ -18,17 +17,18 @@ def make_job(bs, index, mcs, iters, rtt=500.0, noise=0.0, antennas=2):
     grant = UplinkGrant(mcs=mcs, num_prbs=50, num_antennas=antennas)
     iters = (list(iters) * 8)[: grant.code_blocks]
     work = build_subframe_work(LinearTimingModel(), grant, iters, max_iterations=4)
-    sf = Subframe(
-        bs_id=bs, index=index, grant=grant, transport_latency_us=rtt, grid=GridConfig(10.0)
+    sf = Subframe(bs_id=bs, index=index, grant=grant, transport_latency_us=rtt)
+    return SubframeJob(
+        subframe=sf, work=work, noise_us=noise, load=mcs / 27.0,
+        arrival_us=sf.arrival_us, deadline_us=sf.deadline_us,
     )
-    return SubframeJob(subframe=sf, work=work, noise_us=noise, load=mcs / 27.0)
 
 
 def same_instant_cases():
     """Shared-queue scenarios where core releases and arrivals coincide.
 
     Returns ``{name: (jobs, num_cores, queue_capacity)}``.  Heavy MCS-27
-    frames run past their deadline override, so each one frees its core
+    frames run past their deadline, so each one frees its core
     exactly at that deadline; light MCS-5 frames arrive at the same
     instant.
 
@@ -41,9 +41,7 @@ def same_instant_cases():
       arriving at one instant, one more core idle throughout.
     """
     def at(job, arrival_us, deadline_us):
-        return dataclasses.replace(
-            job, arrival_override_us=arrival_us, deadline_override_us=deadline_us
-        )
+        return dataclasses.replace(job, arrival_us=arrival_us, deadline_us=deadline_us)
 
     def heavy(bs, deadline_us):
         return at(make_job(bs, 0, 27, [4]), 500.0, deadline_us)

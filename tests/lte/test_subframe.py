@@ -3,7 +3,6 @@
 import pytest
 
 from repro.constants import RX_BUDGET_US
-from repro.lte.grid import GridConfig
 from repro.lte.subframe import Subframe, UplinkGrant
 
 
@@ -43,7 +42,6 @@ class TestSubframe:
             index=index,
             grant=UplinkGrant(mcs=10),
             transport_latency_us=latency,
-            grid=GridConfig(10.0),
         )
 
     def test_air_time_is_subframe_boundary(self):

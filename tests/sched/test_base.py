@@ -66,30 +66,30 @@ class TestPlacement:
     def test_next_activation_basic(self):
         # Slot 0 of any BS activates at j*2ms + RTT/2 for even j.
         t = next_partitioned_activation(
-            0, 0, after_us=100.0, cores_per_bs=2, transport_latency_us=500.0
+            0, after_us=100.0, cores_per_bs=2, transport_latency_us=500.0
         )
         assert t == 500.0
         t = next_partitioned_activation(
-            0, 0, after_us=501.0, cores_per_bs=2, transport_latency_us=500.0
+            0, after_us=501.0, cores_per_bs=2, transport_latency_us=500.0
         )
         assert t == 2500.0
 
     def test_next_activation_odd_slot(self):
         t = next_partitioned_activation(
-            0, 1, after_us=0.0, cores_per_bs=2, transport_latency_us=400.0
+            1, after_us=0.0, cores_per_bs=2, transport_latency_us=400.0
         )
         assert t == 1400.0
 
     def test_next_activation_strictly_after(self):
         t0 = 2500.0
         t = next_partitioned_activation(
-            0, 0, after_us=t0, cores_per_bs=2, transport_latency_us=500.0
+            0, after_us=t0, cores_per_bs=2, transport_latency_us=500.0
         )
         assert t > t0
 
     def test_activation_period(self):
-        a = next_partitioned_activation(0, 0, 100.0, 2, 500.0)
-        b = next_partitioned_activation(0, 0, a, 2, 500.0)
+        a = next_partitioned_activation(0, 100.0, 2, 500.0)
+        b = next_partitioned_activation(0, a, 2, 500.0)
         assert b - a == 2000.0
 
 

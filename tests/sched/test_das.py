@@ -7,7 +7,7 @@ import pytest
 
 from repro.lte.mcs import max_mcs, throughput_mbps
 from repro.sched import CRanConfig, DelayAwareScheduler, run_scheduler
-from repro.sched.runner import TRACEABLE_SCHEDULERS
+from repro.sched.runner import SCHEDULERS
 from repro.workload.classes import parse_class_spec
 from repro.workload.mixed import build_mixed_workload
 
@@ -32,7 +32,7 @@ class TestRegistration:
         assert len(result.records) == len(mixed_jobs)
 
     def test_traceable(self):
-        assert "das" in TRACEABLE_SCHEDULERS
+        assert SCHEDULERS["das"] == (DelayAwareScheduler, "das")
 
     def test_unknown_name_still_rejected(self, mixed_config, mixed_jobs):
         with pytest.raises(ValueError):
@@ -69,7 +69,7 @@ class TestBehaviour:
         sched = DelayAwareScheduler(CRanConfig(transport_latency_us=500.0))
         base = make_job(0, 0, 20, [3])
         urgent = dataclasses.replace(
-            base, deadline_override_us=base.subframe.air_time_us + 1500.0
+            base, deadline_us=base.subframe.air_time_us + 1500.0
         )
         relaxed = make_job(1, 0, 20, [3])
         now = base.arrival_us
@@ -84,7 +84,7 @@ class TestBehaviour:
         job = make_job(0, 0, 20, [3])
         now = job.arrival_us + 100.0
         hol = now - job.subframe.air_time_us
-        crit = (hol + job.optimistic_time_us) / job.delay_budget_us
+        crit = (hol + job.work.optimistic_total_us) / job.delay_budget_us
         eff = throughput_mbps(20) / throughput_mbps(max_mcs())
         assert sched._priority(job, now) == pytest.approx(crit * (1.0 + eff))
 
@@ -115,7 +115,7 @@ class TestBehaviour:
         # not the oldest (bs 0) and not the earliest deadline (bs 0).
         base = [make_job(b, 0, 5, [1]) for b in range(3)]
         relaxed = dataclasses.replace(
-            base[1], deadline_override_us=base[1].subframe.air_time_us + 10000.0
+            base[1], deadline_us=base[1].subframe.air_time_us + 10000.0
         )
         jobs = [base[0], relaxed, base[2]]
         cfg = CRanConfig(transport_latency_us=500.0, num_cores=1)

@@ -112,7 +112,7 @@ class TestGlobalScheduler:
         # the oldest entry); the second drops bs 0.
         base = [make_job(b, 0, 5, [1]) for b in range(4)]
         tight = dataclasses.replace(
-            base[1], deadline_override_us=base[1].subframe.air_time_us + 1500.0
+            base[1], deadline_us=base[1].subframe.air_time_us + 1500.0
         )
         jobs = [base[0], tight, base[2], base[3]]
         cfg = CRanConfig(transport_latency_us=500.0, num_cores=1)

@@ -2,22 +2,11 @@
 
 import pytest
 
-from repro.lte.grid import GridConfig
-from repro.lte.subframe import Subframe, UplinkGrant
+import dataclasses
+
 from repro.sched import CRanConfig, PartitionedScheduler
-from repro.sched.base import SubframeJob, partitioned_core_for
-from repro.timing.model import LinearTimingModel
-from repro.timing.tasks import build_subframe_work
-
-
-def make_job(bs, index, mcs, iters, rtt=500.0, noise=0.0):
-    grant = UplinkGrant(mcs=mcs, num_prbs=50, num_antennas=2)
-    iters = (list(iters) * 8)[: grant.code_blocks]
-    work = build_subframe_work(LinearTimingModel(), grant, iters, max_iterations=4)
-    sf = Subframe(
-        bs_id=bs, index=index, grant=grant, transport_latency_us=rtt, grid=GridConfig(10.0)
-    )
-    return SubframeJob(subframe=sf, work=work, noise_us=noise, load=mcs / 27.0)
+from repro.sched.base import partitioned_core_for
+from tests.helpers import make_job
 
 
 class TestPartitioned:
@@ -108,17 +97,10 @@ class TestPartitioned:
         for rtt in (400.0, 550.0, 700.0):
             cfg = CRanConfig(transport_latency_us=rtt)
             jobs = [
-                SubframeJob(
-                    subframe=Subframe(
-                        bs_id=j.subframe.bs_id,
-                        index=j.subframe.index,
-                        grant=j.subframe.grant,
-                        transport_latency_us=rtt,
-                        grid=j.subframe.grid,
-                    ),
-                    work=j.work,
-                    noise_us=j.noise_us,
-                    load=j.load,
+                dataclasses.replace(
+                    j,
+                    subframe=dataclasses.replace(j.subframe, transport_latency_us=rtt),
+                    arrival_us=j.subframe.air_time_us + rtt,
                 )
                 for j in small_workload
             ]

@@ -190,8 +190,8 @@ def same_instant_opex_cases():
     """
     heavy_late = dataclasses.replace(
         make_job(1, 0, 27, [4]),
-        arrival_override_us=LONE_HEAVY_DECODE_START_US,
-        deadline_override_us=LONE_HEAVY_DECODE_START_US + 1500.0,
+        arrival_us=LONE_HEAVY_DECODE_START_US,
+        deadline_us=LONE_HEAVY_DECODE_START_US + 1500.0,
     )
     return {
         "arrival_and_decode_start": ([make_job(0, 0, 27, [4]), heavy_late], {}),

@@ -5,8 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from repro.obs import Tracer, tracing
 from repro.sched import CRanConfig, build_workload, run_scheduler
-from repro.sched.runner import build_workload_legacy, compare_schedulers
+from repro.sched.runner import compare_schedulers
+from repro.workload.soa import build_workload_arrays
 
 
 class TestBuildWorkload:
@@ -40,6 +42,13 @@ class TestBuildWorkload:
         with pytest.raises(ValueError):
             build_workload(small_config, 20, loads=np.ones((2, 20)))
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_bad_load_rejected(self, small_config, bad):
+        loads = np.full((4, 10), 0.5)
+        loads[1, 6] = bad
+        with pytest.raises(ValueError, match=re.escape("(bs=1, subframe=6)")):
+            build_workload(small_config, 10, loads=loads)
+
     def test_transport_jitter(self, small_config):
         jitter = np.full((4, 10), 25.0)
         jobs = build_workload(small_config, 10, seed=1, transport_jitter=jitter)
@@ -52,7 +61,9 @@ class TestBuildWorkload:
         with pytest.raises(ValueError):
             build_workload(small_config, 10, transport_jitter=np.ones((4, 5)))
 
-    @pytest.mark.parametrize("builder", [build_workload, build_workload_legacy])
+    # The check sits in the columns builder, so it fires before any job
+    # is materialized.
+    @pytest.mark.parametrize("builder", [build_workload, build_workload_arrays])
     @pytest.mark.parametrize(
         "bad, shown",
         [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"), (-500.5, "-0.5")],
@@ -65,13 +76,12 @@ class TestBuildWorkload:
         with pytest.raises(ValueError, match=re.escape(f"(bs=2, subframe=7) is {shown} us")):
             builder(small_config, 10, seed=1, transport_jitter=jitter)
 
-    @pytest.mark.parametrize("builder", [build_workload, build_workload_legacy])
-    def test_zero_latency_accepted(self, builder):
+    def test_zero_latency_accepted(self):
         # Jitter that cancels the fixed RTT/2 exactly still means "arrives
         # at the end of its air time", which is valid.
         cfg = CRanConfig(transport_latency_us=400.0)
         jitter = np.full((4, 10), -400.0)
-        jobs = builder(cfg, 10, seed=1, transport_jitter=jitter)
+        jobs = build_workload(cfg, 10, seed=1, transport_jitter=jitter)
         assert all(j.subframe.transport_latency_us == 0.0 for j in jobs)
 
     def test_iterations_match_code_blocks(self, small_config):
@@ -86,8 +96,11 @@ class TestBuildWorkload:
 
 class TestRunScheduler:
     def test_unknown_scheduler(self, small_config, small_workload):
-        with pytest.raises(ValueError):
+        # Rejected before an ambient tracer opens a run for it.
+        tracer = Tracer()
+        with tracing(tracer), pytest.raises(ValueError, match="round-robin"):
             run_scheduler("round-robin", small_config, small_workload)
+        assert len(tracer) == 0
 
     def test_all_names_resolve(self, small_config, small_workload):
         for name in ("partitioned", "global", "rt-opex", "rtopex"):

@@ -61,16 +61,19 @@ class TestJobBounds:
         grant = UplinkGrant(mcs=27)
         work = build_subframe_work(LinearTimingModel(), grant, iters, max_iterations=4)
         sf = Subframe(bs_id=0, index=0, grant=grant, transport_latency_us=500.0)
-        return SubframeJob(subframe=sf, work=work, noise_us=12.0, load=1.0)
+        return SubframeJob(
+            subframe=sf, work=work, noise_us=12.0, load=1.0,
+            arrival_us=sf.arrival_us, deadline_us=sf.deadline_us,
+        )
 
     def test_optimistic_below_serial(self):
         job = self.make_job([4] * 6)
-        assert job.optimistic_time_us < job.serial_time_us
+        assert job.work.optimistic_total_us < job.serial_time_us
 
     def test_optimistic_equals_serial_at_one_iteration(self):
         job = self.make_job([1] * 6)
         # Best case realized: the bound is tight up to the noise term.
-        assert job.optimistic_time_us == pytest.approx(job.serial_time_us - 12.0)
+        assert job.work.optimistic_total_us == pytest.approx(job.serial_time_us - 12.0)
 
     def test_serial_time_includes_noise(self):
         job = self.make_job([2] * 6)
@@ -83,7 +86,7 @@ class TestJobBounds:
         import dataclasses
 
         tx_like = dataclasses.replace(
-            job, kind="tx", arrival_override_us=123.0, deadline_override_us=456.0
+            job, kind="tx", arrival_us=123.0, deadline_us=456.0
         )
         assert tx_like.arrival_us == 123.0
         assert tx_like.deadline_us == 456.0

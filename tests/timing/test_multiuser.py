@@ -108,6 +108,13 @@ class TestMultiUserWorkload:
             "1179a6692be111c435f72a4ff3f1fb753b0464fcc99e7c4d0f41b740493c4388"
         )
 
+    def test_default_trace_needs_enough_basestations(self):
+        from repro.sched import CRanConfig
+        from repro.workload.multiuser import build_multiuser_workload
+
+        with pytest.raises(ValueError, match="fewer basestations"):
+            build_multiuser_workload(CRanConfig(num_basestations=64), 10, seed=3)
+
     def test_full_prb_mode_occupies_everything(self):
         from repro.sched import CRanConfig
         from repro.workload.multiuser import build_multiuser_workload

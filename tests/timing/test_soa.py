@@ -1,8 +1,7 @@
-"""Columnar workload equivalence: fast path == scalar reference, bit for bit.
+"""Columnar workload pieces agree with their scalar definitions, bit for bit.
 
-Both builders make task graphs with :func:`build_subframe_work`, so the
-columnar fast path is admissible because its other pieces are provably
-identical to the scalar reference:
+The workload builder draws and maps whole traces at once; each batch
+form must match the per-subframe definition it replaces:
 
 * :func:`build_subframe_work`'s shared specs must carry exactly the
   Eq. (1) values of their subframe (hypothesis-driven over the whole
@@ -109,18 +108,8 @@ def test_mcs_for_trace_rejects_out_of_range():
             raise AssertionError(f"{bad} should have raised")
 
 
-def test_workload_fast_path_equals_legacy():
-    """End-to-end: the runner's SoA dispatch returns the legacy job list."""
-    from repro.sched.runner import build_workload, build_workload_legacy
-
-    cfg = CRanConfig(transport_latency_us=500.0)
-    fast = build_workload(cfg, 120, seed=2016)
-    legacy = build_workload_legacy(cfg, 120, seed=2016)
-    assert fast == legacy
-
-
 def test_workload_fast_path_interns_value_objects():
-    """Equal subframes share grant/work instances on the fast path."""
+    """Equal subframes share grant/work instances."""
     from repro.sched.runner import build_workload
 
     cfg = CRanConfig(transport_latency_us=500.0)
@@ -135,17 +124,17 @@ def test_workload_fast_path_interns_value_objects():
     assert len({id(s) for s in specs}) == len(set(specs))
 
 
-def test_custom_models_fall_back_to_legacy_builder():
-    """Subclassed models must bypass the SoA fast path (and still work)."""
-    from repro.sched.runner import build_workload, build_workload_legacy
+def test_mapper_override_reaches_the_jobs():
+    """A mapper subclass overriding ``mcs_for_trace`` sets the jobs' MCS."""
+    from repro.sched.runner import build_workload
 
     class SlowMapper(GrantMapper):
-        def mcs_for_load(self, load):
-            return max(0, super().mcs_for_load(load) - 1)
+        def mcs_for_trace(self, loads):
+            return np.maximum(super().mcs_for_trace(loads) - 1, 0)
 
     cfg = CRanConfig(transport_latency_us=500.0)
-    mapper = SlowMapper()
-    fast = build_workload(cfg, 40, seed=2016, mapper=mapper)
-    legacy = build_workload_legacy(cfg, 40, seed=2016, mapper=mapper)
-    assert fast == legacy
-    assert all(j.subframe.grant.mcs <= 26 for j in fast)
+    slow = build_workload(cfg, 40, seed=2016, mapper=SlowMapper())
+    plain = build_workload(cfg, 40, seed=2016)
+    assert [j.subframe.grant.mcs for j in slow] == [
+        max(j.subframe.grant.mcs - 1, 0) for j in plain
+    ]

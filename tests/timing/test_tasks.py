@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lte.subframe import UplinkGrant
+from repro.timing.downlink import DownlinkTimingModel, build_tx_work
 from repro.timing.model import LinearTimingModel
 from repro.timing.tasks import SubtaskSpec, TaskSpec, build_subframe_work
 
@@ -90,6 +91,33 @@ class TestTaskGraph:
         assert work.total_serial_us == pytest.approx(
             model.total_time_for_grant(grant, mean_l), rel=1e-9
         )
+
+
+class TestOptimisticBounds:
+    """The slack-check lower bound: one turbo iteration per code block."""
+
+    def test_decode_bound_is_decode_at_one_iteration(self, model):
+        _, work = make_work(model, iters=[1, 2, 3, 4, 1, 2])
+        _, best = make_work(model, iters=[1] * 6)
+        assert work.optimistic_decode_us == pytest.approx(
+            best.task("decode").serial_duration_us
+        )
+        assert work.optimistic_decode_us < work.task("decode").serial_duration_us
+
+    def test_whole_job_bound_adds_the_other_tasks(self, model):
+        _, work = make_work(model, iters=[1, 2, 3, 4, 1, 2])
+        other = work.task("fft").serial_duration_us + work.task("demod").serial_duration_us
+        assert work.optimistic_total_us == pytest.approx(other + work.optimistic_decode_us)
+
+    def test_serial_decode_has_no_iteration_term(self, model):
+        _, work = make_work(model, iters=[4] * 6, parallelize_decode=False)
+        assert work.optimistic_decode_us == work.task("decode").serial_duration_us
+        assert work.optimistic_total_us == pytest.approx(work.total_serial_us)
+
+    def test_tx_graph_without_decode(self):
+        work = build_tx_work(DownlinkTimingModel(), UplinkGrant(mcs=13), noise_us=5.0)
+        assert work.optimistic_decode_us == work.tasks[0].serial_duration_us
+        assert work.optimistic_total_us == work.total_serial_us
 
 
 class TestSpecValidation:

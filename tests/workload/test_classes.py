@@ -242,6 +242,15 @@ class TestMixedWorkload:
                 loads=np.zeros((2, 10)),
             )
 
+    def test_bad_load_rejected_not_clipped(self, config):
+        loads = np.full((4, 10), 0.5)
+        loads[3, 2] = 1.5
+        with pytest.raises(ValueError, match=r"\(bs=3, subframe=2\)"):
+            build_mixed_workload(
+                config, 10, mix=parse_class_spec(DEFAULT_MIXED_SPEC), seed=1,
+                loads=loads,
+            )
+
     def test_mixed_loads_stream_isolation(self):
         # Shaping draws only from its own streams: the iteration stream
         # is untouched whether or not a mix is applied.
